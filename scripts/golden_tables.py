@@ -27,9 +27,9 @@ def main() -> int:
     ]
     for family, fn in jobs:
         presented = build(FamilySpec(family))
-        start = time.time()
+        start = time.perf_counter()
         report = defect_report(presented, fn, 1, args.to)
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         print(f"# {family} / {fn}  (slope {report.slope}, {elapsed:.1f}s)")
         print("n,value,defect")
         for offset, value in enumerate(report.values):

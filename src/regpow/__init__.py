@@ -32,7 +32,6 @@ from .betti import (
     betti_table,
     koszul_piece,
     regularity,
-    regularity_from_betti,
 )
 from .regfun import (
     DefectReport,

@@ -2,8 +2,21 @@
 
 The production path decomposes the Koszul complex K(x_1..x_r) ⊗ A/B by
 multidegree: each multidegree block is a complex of dimension at most
-2^r, and blocks vanish outside the componentwise-lcm box of the
-generators of A and B.  A full bidegree-matrix path (`koszul_piece`,
+2^r.  A block can carry homology only at a point of L(A) ∪ L(B), the lcm
+lattices of the two generating sets (every lcm of a nonempty subset of
+generators).  The Taylor resolutions of A and B live on those lattices
+(Gasharov–Peeva–Welker, "The lcm-lattice in monomial resolutions", Math.
+Res. Lett. 6, 1999), and the long exact Tor sequence of 0 → B → A → A/B → 0
+puts Tor_i(A/B)_b between Tor_i(A)_b and Tor_{i-1}(B)_b.  At each lattice
+point the block is the relative upper Koszul simplicial complex of
+(A, B) (Miller–Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
+
+Every lattice point lies in the componentwise-lcm box of the generators,
+so the box degree plus r still bounds every degree j with a nonzero Betti
+number.  `search_bound` keeps that box value rather than the lattice's top
+degree: `regpow betti --format json` prints it and the disk cache stores
+it, and it depends only on the generators' lcms, not on which lattice
+points carry homology.  A full bidegree-matrix path (`koszul_piece`,
 `betti_bidegree`) is kept as an independent cross-check.
 """
 from __future__ import annotations
@@ -12,11 +25,12 @@ import hashlib
 import itertools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modules import NEG_INF, Subquotient, basis, is_artinian, top_degree
+from .modules import NEG_INF, Subquotient, basis
 
 CACHE_ENV = "REGPOW_CACHE"
 
@@ -175,6 +189,22 @@ def _contains_exps(gens_exps, e) -> bool:
     return False
 
 
+def _lcm_lattice(gens_exps) -> set:
+    """Every lcm of a nonempty subset of the generators, as exponent tuples."""
+    lattice = set(gens_exps)
+    frontier = list(lattice)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens_exps:
+                point = tuple(map(max, a, g))
+                if point not in lattice:
+                    lattice.add(point)
+                    fresh.append(point)
+        frontier = fresh
+    return lattice
+
+
 def _compute_betti_table(module: Subquotient) -> BettiTable:
     ring = module.ring
     nv = ring.nvars
@@ -193,7 +223,7 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
     subsets = [
         F for i in range(nv + 1) for F in itertools.combinations(range(nv), i)
     ]
-    for alpha in itertools.product(*(range(b + 1) for b in box)):
+    for alpha in sorted(_lcm_lattice(a_exps) | _lcm_lattice(b_exps)):
         levels = {}
         for F in subsets:
             e = list(alpha)
@@ -229,34 +259,51 @@ def _canonical_key(module: Subquotient) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cache_read(path: str, key: str):
+def _cache_load(path: str) -> dict:
+    """The cache file's records; {} when it is missing, unreadable or not a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
-        return None
-    record = data.get(key)
+        return {}
+    return data if isinstance(data, dict) else {}
+
+
+def _cache_read(path: str, key: str):
+    record = _cache_load(path).get(key)
     if record is None:
         return None
-    entries = {(int(i), int(j)): int(b) for i, j, b in record["entries"]}
-    return BettiTable(entries, int(record["search_bound"]))
+    try:
+        entries = {(int(i), int(j)): int(b) for i, j, b in record["entries"]}
+        return BettiTable(entries, int(record["search_bound"]))
+    except (LookupError, TypeError, ValueError):
+        return None
 
 
 def _cache_write(path: str, key: str, table: BettiTable):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        data = {}
+    """Add one record; the new file replaces the old one whole, so an interrupted write loses nothing."""
+    data = _cache_load(path)
     data[key] = {
         "search_bound": table.search_bound,
         "entries": sorted([i, j, b] for (i, j), b in table.entries.items()),
     }
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)),
+            prefix=os.path.basename(path) + ".",
+            suffix=".tmp",
+        )
     except OSError:
-        pass
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 @lru_cache(maxsize=None)
@@ -285,17 +332,8 @@ def betti(module: Subquotient, i: int, j: int) -> int:
     return betti_table(module).betti(i, j)
 
 
-def regularity_from_betti(module: Subquotient):
-    """max(j - i) over nonzero Betti numbers, bypassing the Artinian fast path."""
-    if module.is_zero():
-        return NEG_INF
-    return betti_table(module).regularity()
-
-
 def regularity(module: Subquotient):
-    """Castelnuovo-Mumford regularity; NEG_INF for the zero module."""
+    """Castelnuovo-Mumford regularity, max(j - i) over the Betti table; NEG_INF for the zero module."""
     if module.is_zero():
         return NEG_INF
-    if is_artinian(module):
-        return top_degree(module)
     return betti_table(module).regularity()

@@ -14,12 +14,15 @@ With N = S and b ≠ 0 this is dim H̃_{i-2}(K^b(D)) = beta_{i-1,b}(D), Hochster
 formula (Miller–Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
 Nonzero Betti numbers sit only at points of the lcm lattice of the two
 generating sets (a mapping cone of Taylor resolutions resolves N/D), so
-reg N/D = max |b| - i over those points.
+reg N/D = max |b| - i over those points.  `betti_numbers_over_box` makes no
+use of that support: it visits every point of the componentwise-lcm box, the
+engine's search before it enumerated lattices, and so checks any narrower
+enumeration of multidegrees.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -118,6 +121,17 @@ def betti_numbers(numerator, denominator) -> dict:
     numerator, denominator = minimalize(numerator), minimalize(denominator)
     table = {}
     for b in lcm_lattice(numerator + denominator):
+        for i, dim in _relative_homology(b, numerator, denominator).items():
+            table[i, b] = dim
+    return table
+
+
+def betti_numbers_over_box(numerator, denominator) -> dict:
+    """{(i, b): beta_{i,b}(N/D)} as in `betti_numbers`, visiting every b in the lcm box."""
+    numerator, denominator = minimalize(numerator), minimalize(denominator)
+    box = [max(column) for column in zip(*numerator, *denominator)]
+    table = {}
+    for b in product(*(range(e + 1) for e in box)):
         for i, dim in _relative_homology(b, numerator, denominator).items():
             table[i, b] = dim
     return table

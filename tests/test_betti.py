@@ -17,11 +17,11 @@ from regpow import (
     koszul_piece,
     quotient_ring,
     regularity,
-    regularity_from_betti,
     top_degree,
     unit_ideal,
+    zero_ideal,
 )
-from regpow.betti import rank_of_piece
+from regpow.betti import _canonical_key, rank_of_piece
 
 import _hochster
 from conftest import random_ideal, ring
@@ -38,8 +38,7 @@ def test_square_of_maximal_ideal():
     M = quotient_ring(ideal(r, ["x^2", "x*y", "y^2"]))
     table = betti_table(M)
     assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
-    assert regularity(M) == 1
-    assert regularity_from_betti(M) == 1
+    assert regularity(M) == top_degree(M) == 1
 
 
 def test_zero_module_has_empty_table():
@@ -47,8 +46,7 @@ def test_zero_module_has_empty_table():
     A = ideal(r, ["x"])
     M = Subquotient(A, A)
     assert betti_table(M).entries == {}
-    assert regularity(M) == NEG_INF
-    assert regularity_from_betti(M) == NEG_INF
+    assert regularity(M) == top_degree(M) == NEG_INF
 
 
 def test_regularity_of_complete_intersection():
@@ -152,6 +150,14 @@ def test_short_exact_sequence_regularity_bounds():
             assert reg_n == max(reg_m, reg_e + 1)
 
 
+def _graded(betti_numbers: dict) -> dict:
+    """Collapse {(i, b): beta} over multidegrees b to {(i, |b|): beta}."""
+    out = {}
+    for (i, b), value in betti_numbers.items():
+        out[i, sum(b)] = out.get((i, sum(b)), 0) + value
+    return out
+
+
 def test_hochster_oracle_matches_engine_betti_tables():
     """The engine-free oracle behind acceptance criterion 1 agrees with betti_table."""
     r = ring("x", "y")
@@ -169,13 +175,38 @@ def test_hochster_oracle_matches_engine_betti_tables():
         if B != C:
             cases.append((B, C))
     for B, C in cases:
-        oracle = {}
-        betti_numbers = _hochster.betti_numbers(
+        oracle = _hochster.betti_numbers(
             [g.exponents for g in B.gens], [g.exponents for g in C.gens]
         )
-        for (i, b), value in betti_numbers.items():
-            oracle[i, sum(b)] = oracle.get((i, sum(b)), 0) + value
-        assert oracle == betti_table(Subquotient(B, C)).entries, (B, C)
+        assert _graded(oracle) == betti_table(Subquotient(B, C)).entries, (B, C)
+
+
+def test_lattice_betti_tables_match_box_oracle():
+    """betti_table visits only L(A) ∪ L(B); the oracle visits the whole lcm box."""
+    rnd = random.Random(53)
+    seen = set()
+    for nv in range(1, 5):
+        r = ring(*"xyzw"[:nv])
+        for k in range(12):
+            B = zero_ideal(r) if k % 3 == 0 else random_ideal(rnd, r)
+            if k % 3 == 2:
+                B = B + ideal(r, [
+                    r.monomial(tuple(rnd.randint(1, 3) * (v == w) for w in range(nv)))
+                    for v in range(nv)
+                ])
+            A = unit_ideal(r) if k % 4 == 0 else B + random_ideal(rnd, r)
+            M = Subquotient(A, B)
+            oracle = _hochster.betti_numbers_over_box(
+                [g.exponents for g in A.gens], [g.exponents for g in B.gens]
+            )
+            assert _graded(oracle) == betti_table(M).entries, (A, B)
+            if not M.is_zero():
+                seen.add("artinian" if is_artinian(M) else "not artinian")
+            if not B.gens:
+                seen.add("zero denominator")
+            if A == unit_ideal(r):
+                seen.add("unit numerator")
+    assert seen == {"artinian", "not artinian", "zero denominator", "unit numerator"}
 
 
 def test_artinian_regularity_agrees_with_top_degree():
@@ -193,7 +224,7 @@ def test_artinian_regularity_agrees_with_top_degree():
         if M.is_zero():
             continue
         assert is_artinian(M)
-        assert regularity_from_betti(M) == top_degree(M)
+        assert regularity(M) == top_degree(M)
         checked += 1
 
 
@@ -233,10 +264,31 @@ def test_disk_cache_is_a_pure_accelerator(tmp_path):
 def test_corrupted_cache_file_is_ignored(tmp_path):
     r = ring("x", "y")
     M = quotient_ring(ideal(r, ["x^2", "y^2"]))
+    key = _canonical_key(M)
     cache = tmp_path / "betti.json"
-    cache.write_text("not json at all")
-    table = betti_table(M, cache_path=str(cache))
-    assert table.entries == betti_table(M).entries
+    for text in ("not json at all", "[]", '"str"', json.dumps({key: {"entries": 5}})):
+        cache.write_text(text)
+        table = betti_table(M, cache_path=str(cache))
+        assert table.entries == betti_table(M).entries, text
+        assert key in json.loads(cache.read_text()), text
+
+
+def test_interrupted_cache_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    r = ring("x", "y")
+    cache = tmp_path / "betti.json"
+    betti_table(quotient_ring(ideal(r, ["x^2", "y^2"])), cache_path=str(cache))
+    before = cache.read_text()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    M = quotient_ring(ideal(r, ["x^3", "y"]))
+    assert betti_table(M, cache_path=str(cache)).entries == betti_table(M).entries
+    assert cache.read_text() == before
+    assert len(json.loads(before)) == 1
+    assert list(tmp_path.iterdir()) == [cache]
 
 
 def test_cache_env_variable_is_honored(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Window properties of the power functions on the seeded randomized corpus."""
 from regpow import (
     is_artinian,
-    regularity_from_betti,
+    regularity,
     top_degree,
 )
 
@@ -65,7 +65,7 @@ def test_artinian_koszul_regularity_equals_top_degree_on_corpus():
             M = case.presented.module_of(kind, 1)
             if M.is_zero() or not is_artinian(M):
                 continue
-            assert regularity_from_betti(M) == top_degree(M), (case.presented, kind)
+            assert regularity(M) == top_degree(M), (case.presented, kind)
             checked += 1
     assert checked >= 5
 
