@@ -6,6 +6,7 @@ the unit ideal is generated by 1.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -232,18 +233,17 @@ class MonomialIdeal:
             result = result.intersect(self.colon(u))
         return result
 
-    def saturate(self, other: "MonomialIdeal" = None) -> "MonomialIdeal":
-        """Saturation with respect to `other` (default: the maximal ideal)."""
-        if other is None:
-            other = self.ring.maximal_ideal()
-        if self.is_zero():
-            return self
-        current = self
-        while True:
-            nxt = current.colon_ideal(other)
-            if nxt == current:
-                return current
-            current = nxt
+    def saturate(self) -> "MonomialIdeal":
+        """Saturation by the maximal ideal: I : m^∞ = ∩_i (I : x_i^∞).
+
+        I : x_i^∞ is generated by the generators of I with exponent i set to 0
+        (Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2).
+        """
+        parts = []
+        for i in range(self.ring.nvars):
+            zeroed = [g.exponents[:i] + (0,) + g.exponents[i + 1:] for g in self.gens]
+            parts.append(ideal(self.ring, map(self.ring.monomial, zeroed)))
+        return functools.reduce(MonomialIdeal.intersect, parts)
 
     def krull_dim_quotient(self) -> int:
         """Krull dimension of S/self; -1 for the unit ideal (zero ring)."""

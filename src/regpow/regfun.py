@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .betti import regularity
-from .modules import NEG_INF, Subquotient, top_degree
+from .modules import NEG_INF, Subquotient
 from .monomials import MonomialIdeal, RingMismatchError, unit_ideal
 
 
@@ -89,13 +89,18 @@ class PresentedIdeal:
         """lift^n + quot, the presentation of I^n."""
         return self.lift.power(n) + self.quot
 
-    def module_of(self, kind: str, n: int) -> Subquotient:
-        """The module whose regularity is the requested power function at n."""
+    def _power(self, n: int) -> MonomialIdeal:
+        """lift^n + quot, after checking that n >= 1 and that I^n != 0 in R."""
         if n < 1:
             raise InputError("power index must be >= 1")
         power_n = self._lifted_power(n)
         if power_n == self.quot:
             raise StandingHypothesisError(f"I^{n} = 0 in R")
+        return power_n
+
+    def module_of(self, kind: str, n: int) -> Subquotient:
+        """The module whose regularity is the requested power function at n."""
+        power_n = self._power(n)
         if kind == "power":
             return Subquotient(power_n, self.quot)
         if kind == "quotient":
@@ -119,26 +124,21 @@ class PresentedIdeal:
         return regularity(Subquotient(unit_ideal(self.ring), self.quot))
 
     def sdeg(self, n: int):
-        """Saturation degree of I^n; NEG_INF when I^n is already saturated."""
-        if n < 1:
-            raise InputError("power index must be >= 1")
-        power_n = self._lifted_power(n)
-        if power_n == self.quot:
-            raise StandingHypothesisError(f"I^{n} = 0 in R")
-        saturated = power_n.saturate()
-        if saturated == power_n:
-            return NEG_INF
-        return top_degree(Subquotient(saturated, power_n)) + 1
+        """Saturation degree of I^n; NEG_INF when I^n is already saturated.
+
+        Read off the socle of S/J, where J = lift^n + quot and m = (x_1, ..., x_r):
+            sdeg = 1 + max{deg g : g a minimal generator of J : m, g not in J}.
+        A top-degree monomial u of sat(J)/J has u*x_i in J for every i, so u is in J : m.
+        Each u in J : m outside J is in sat(J) and is a minimal generator of J : m,
+        because u = v*x_i with v in J : m would put u in J.
+        """
+        power_n = self._power(n)
+        colon_gens = power_n.colon_ideal(self.ring.maximal_ideal()).gens
+        return max((g.degree for g in colon_gens if not power_n.contains(g)), default=NEG_INF) + 1
 
     def gen_degree(self, n: int) -> int:
         """Maximal degree of the minimal generators of I^n."""
-        if n < 1:
-            raise InputError("power index must be >= 1")
-        power_n = self._lifted_power(n)
-        outside = [g.degree for g in power_n.gens if not self.quot.contains(g)]
-        if not outside:
-            raise StandingHypothesisError(f"I^{n} = 0 in R")
-        return max(outside)
+        return max(g.degree for g in self._power(n).gens if not self.quot.contains(g))
 
     def function(self, name: str):
         if name not in FUNCTION_NAMES:

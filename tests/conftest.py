@@ -41,3 +41,16 @@ def random_ideal(rnd, rng: RingSpec, max_gens: int = 3, max_exp: int = 3) -> Mon
             exps = tuple(1 if i == 0 else 0 for i in range(rng.nvars))
         gens.append(Monomial(rng, exps))
     return ideal(rng, gens)
+
+
+def saturate_by_colon_fixpoint(I: MonomialIdeal) -> MonomialIdeal:
+    """I : m^∞ as the limit of I ⊆ I : m ⊆ I : m^2 ⊆ ..., the engine's former route."""
+    if I.is_zero():
+        return I
+    m = I.ring.maximal_ideal()
+    current = I
+    while True:
+        nxt = current.colon_ideal(m)
+        if nxt == current:
+            return current
+        current = nxt

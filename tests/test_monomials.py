@@ -17,7 +17,7 @@ from regpow import (
     zero_ideal,
 )
 
-from conftest import all_monomials, monomials_up_to, random_ideal, ring
+from conftest import all_monomials, monomials_up_to, random_ideal, ring, saturate_by_colon_fixpoint
 
 
 # ---------------------------------------------------------------- construction
@@ -160,6 +160,20 @@ def test_saturation_examples():
     assert ideal(r, ["x^2", "y^2"]).saturate() == unit_ideal(r)
     assert ideal(r, ["x"]).saturate() == ideal(r, ["x"])
     assert zero_ideal(r).saturate().is_zero()
+
+
+def test_saturate_matches_colon_fixpoint_oracle():
+    rnd = random.Random(4)
+    unsaturated = 0
+    for nvars in range(1, 6):
+        r = RingSpec(tuple(f"x{i}" for i in range(nvars)))
+        ideals = [zero_ideal(r), unit_ideal(r)]
+        ideals += [random_ideal(rnd, r, max_gens=4) for _ in range(80)]
+        for I in ideals:
+            saturated = I.saturate()
+            assert saturated == saturate_by_colon_fixpoint(I), I
+            unsaturated += saturated != I
+    assert unsaturated >= 100
 
 
 def test_krull_dim_examples():

@@ -1,12 +1,19 @@
 """Power functions of a presented ideal: modules, values, defects, diagnostics."""
+import random
+
 import pytest
 
 from regpow import (
     NEG_INF,
+    FamilySpec,
     InputError,
+    MonomialIdeal,
     PresentedIdeal,
+    RingSpec,
     RingMismatchError,
     StandingHypothesisError,
+    Subquotient,
+    build,
     defect_report,
     ideal,
     top_degree,
@@ -15,7 +22,7 @@ from regpow import (
     zero_ideal,
 )
 
-from conftest import ring
+from conftest import random_ideal, ring, saturate_by_colon_fixpoint
 
 
 def _one_dim_instance():
@@ -88,6 +95,49 @@ def test_sdeg_of_saturated_power_is_bottom():
     X = PresentedIdeal(zero_ideal(r), ideal(r, ["x"]))
     assert X.sdeg(1) == NEG_INF
     assert X.sdeg(3) == NEG_INF
+
+
+def test_sdeg_never_saturates(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sdeg called saturate")
+
+    monkeypatch.setattr(MonomialIdeal, "saturate", refuse)
+    X = build(FamilySpec("m2_sdeg"))
+    assert tuple(X.sdeg(n) for n in range(1, 6)) == (15, 19, 18, 24, 30)
+    X = build(FamilySpec("ehl", r=3))
+    assert [X.sdeg(n) for n in range(1, 4)] == [3 * n + 2 for n in range(1, 4)]
+    X = build(FamilySpec("cycle", t=3))
+    assert [X.sdeg(n) for n in range(1, 4)] == [2, 2, 2]
+
+
+def _sdeg_by_saturation(power_n):
+    """The top degree of sat(J)/J plus one, by the colon fixpoint and a Hilbert walk."""
+    return top_degree(Subquotient(saturate_by_colon_fixpoint(power_n), power_n)) + 1
+
+
+def test_socle_sdeg_matches_saturation_oracle():
+    rnd = random.Random(11)
+    seen = set()
+    cases = 0
+    while cases < 300:
+        r = RingSpec(tuple(f"x{i}" for i in range(rnd.randint(1, 4))))
+        quot = random_ideal(rnd, r, max_exp=4) if rnd.random() < 0.6 else zero_ideal(r)
+        try:
+            X = PresentedIdeal(quot, random_ideal(rnd, r))
+        except StandingHypothesisError:
+            continue
+        for n in (1, 2):
+            try:
+                value = X.sdeg(n)
+            except StandingHypothesisError:
+                break
+            power_n = X._lifted_power(n)
+            assert value == _sdeg_by_saturation(power_n), (X, n)
+            seen.add("non-artinian" if power_n.krull_dim_quotient() > 0 else "artinian")
+            seen.add("saturated" if value == NEG_INF else "unsaturated")
+            seen.add("quot" if not quot.is_zero() else "no quot")
+            cases += 1
+    assert seen == {"non-artinian", "artinian", "saturated", "unsaturated", "quot", "no quot"}
 
 
 def test_sdeg_equals_quotient_regularity_plus_one_in_dimension_zero():
