@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
+from .monomials import _divides_any, _layout, _lcm_closure, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
 
@@ -182,29 +183,6 @@ def _block_betti(levels: dict, nv: int) -> dict:
     return out
 
 
-def _contains_exps(gens_exps, e) -> bool:
-    for g in gens_exps:
-        if all(a <= b for a, b in zip(g, e)):
-            return True
-    return False
-
-
-def _lcm_lattice(gens_exps) -> set:
-    """Every lcm of a nonempty subset of the generators, as exponent tuples."""
-    lattice = set(gens_exps)
-    frontier = list(lattice)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens_exps:
-                point = tuple(map(max, a, g))
-                if point not in lattice:
-                    lattice.add(point)
-                    fresh.append(point)
-        frontier = fresh
-    return lattice
-
-
 def _compute_betti_table(module: Subquotient) -> BettiTable:
     ring = module.ring
     nv = ring.nvars
@@ -220,24 +198,25 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
     entries = {}
     if module.is_zero():
         return BettiTable(entries, search_bound)
+    # Every coordinate of a lattice point, a generator or a squarefree x^F is at most max(box, 1).
+    shifts, guards = _layout(nv, max(max(box), 1))
+    a_packed = [_pack(e, shifts) for e in a_exps]
+    b_packed = [_pack(e, shifts) for e in b_exps]
     subsets = [
-        F for i in range(nv + 1) for F in itertools.combinations(range(nv), i)
+        (F, _pack([int(v in F) for v in range(nv)], shifts))
+        for i in range(nv + 1)
+        for F in itertools.combinations(range(nv), i)
     ]
-    for alpha in sorted(_lcm_lattice(a_exps) | _lcm_lattice(b_exps)):
+    for alpha in sorted(_lcm_closure(a_exps) | _lcm_closure(b_exps)):
+        point = _pack(alpha, shifts)
         levels = {}
-        for F in subsets:
-            e = list(alpha)
-            ok = True
-            for v in F:
-                if e[v] == 0:
-                    ok = False
-                    break
-                e[v] -= 1
-            if not ok:
+        for F, x_F in subsets:
+            # alpha - F is a multidegree of the block iff x^F | x^alpha, and it
+            # carries a basis element iff x^(alpha - F) lies in A and not in B.
+            if not _divides_any((x_F,), point, guards):
                 continue
-            if _contains_exps(b_exps, e):
-                continue
-            if not _contains_exps(a_exps, e):
+            e = point - x_F
+            if _divides_any(b_packed, e, guards) or not _divides_any(a_packed, e, guards):
                 continue
             levels.setdefault(len(F), []).append(F)
         if not levels:

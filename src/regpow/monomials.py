@@ -3,12 +3,34 @@
 All values are immutable; ideals always store their unique minimal
 monomial generating set.  The zero ideal is the empty generating set,
 the unit ideal is generated by 1.
+
+`Monomial` and `MonomialIdeal` are validated shells: they check rings and
+exponents at the API boundary.  The ideal arithmetic underneath runs on
+plain exponent tuples in one kernel of module-level functions (the
+"exponent-tuple kernel" section below, also used by `betti`), and only
+the final minimal generators become `Monomial`s.
+
+Divisibility in the kernel is one big-integer subtraction.  With
+w = bit_length(largest exponent) + 1, an exponent vector e packs into
+fields of w bits: e_i sits in bits [w*i, w*i + w - 1) and the top bit of
+each field, its guard bit, stays 0.  Let G be the mask of all guard bits.
+In ((e | G) - h) field i holds 2^(w-1) + e_i - h_i >= 0, so no field
+borrows from the next, and its guard bit survives exactly when e_i >= h_i:
+
+    h divides e  <=>  ((e | G) - h) & G == G.
+
+The rest is Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2: an
+intersection is generated by the pairwise lcms of the generators, where a
+generator that already lies in the other ideal stands for all of its
+lcms and only the remaining pairs are formed; I : u is generated by the
+g / gcd(g, u); and I : (u_1, ..., u_k) is the intersection of the I : u_j.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import add, lshift
 
 
 class RingMismatchError(ValueError):
@@ -17,6 +39,94 @@ class RingMismatchError(ValueError):
 
 class MonomialSyntaxError(ValueError):
     """A monomial string does not follow the `var^k*...` syntax."""
+
+
+# ------------------------------------------------------------ exponent-tuple kernel
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(nvars: int, top: int) -> tuple:
+    """Field shifts and guard mask for packing nvars exponents, each at most top."""
+    width = top.bit_length() + 1
+    shifts = tuple(range(0, width * nvars, width))
+    return shifts, sum(1 << (s + width - 1) for s in shifts)
+
+
+def _pack(e, shifts) -> int:
+    return sum(map(lshift, e, shifts))
+
+
+def _divides_any(packed, p: int, guards: int) -> bool:
+    """Whether some packed exponent vector in `packed` divides the packed vector p."""
+    q = p | guards
+    for h in packed:
+        if (q - h) & guards == guards:
+            return True
+    return False
+
+
+def _minimal(exps) -> list:
+    """The minimal exponent tuples under divisibility, deduplicated and sorted."""
+    unique = sorted(set(exps), key=sum)
+    if len(unique) < 2 or not any(unique[0]):
+        return unique[:1]
+    shifts, guards = _layout(len(unique[0]), max(map(max, unique)))
+    kept, out = [], []
+    # A proper divisor has lower degree, so it is kept before anything it divides.
+    for e in unique:
+        p = _pack(e, shifts)
+        if not _divides_any(kept, p, guards):
+            kept.append(p)
+            out.append(e)
+    out.sort()
+    return out
+
+
+def _intersect(a, b) -> list:
+    """Minimal generators of (a) ∩ (b), for minimal generating tuples a and b."""
+    if not a or not b:
+        return []
+    shifts, guards = _layout(len(a[0]), max(map(max, itertools.chain(a, b))))
+    pa = [_pack(e, shifts) for e in a]
+    pb = [_pack(e, shifts) for e in b]
+    # A generator that lies in the other ideal lies in the intersection and
+    # divides all of its own lcms; only the remaining pairs need an lcm.
+    out, rest_a, rest_b = [], [], []
+    for e, p in zip(a, pa):
+        (out if _divides_any(pb, p, guards) else rest_a).append(e)
+    for e, p in zip(b, pb):
+        (out if _divides_any(pa, p, guards) else rest_b).append(e)
+    out += [tuple(map(max, g, h)) for g in rest_a for h in rest_b]
+    return _minimal(out)
+
+
+def _colon(gens, u) -> list:
+    """Minimal generators of (gens) : u, the g / gcd(g, u)."""
+    return _minimal([tuple(a - b if a > b else 0 for a, b in zip(g, u)) for g in gens])
+
+
+def _colon_ideal(gens, divisors) -> list:
+    """Minimal generators of (gens) : (divisors), folded over the divisors."""
+    result = _colon(gens, divisors[0])
+    for u in divisors[1:]:
+        result = _intersect(result, _colon(gens, u))
+    return result
+
+
+def _lcm_closure(gens) -> set:
+    """Every lcm of a nonempty subset of the exponent tuples `gens`."""
+    closure = set(gens)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                point = tuple(map(max, a, g))
+                if point not in closure:
+                    closure.add(point)
+                    fresh.append(point)
+        frontier = fresh
+    return closure
 
 
 @dataclass(frozen=True)
@@ -137,7 +247,7 @@ def parse_monomial(ring: RingSpec, text: str) -> Monomial:
             raise MonomialSyntaxError(f"empty factor in {text!r}")
         if "^" in factor:
             name, _, power = factor.partition("^")
-            if not power.isdigit():
+            if not (power.isascii() and power.isdigit()):
                 raise MonomialSyntaxError(f"bad exponent in factor {factor!r}")
             k = int(power)
             if k < 1:
@@ -176,12 +286,31 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_one()
 
+    @property
+    def _exps(self) -> tuple:
+        return tuple(g.exponents for g in self.gens)
+
+    @functools.cached_property
+    def _packed(self) -> tuple:
+        """(top, packed generators): the largest exponent and the kernel's form of the generators."""
+        exps = self._exps
+        top = max(map(max, exps), default=0)
+        shifts, _ = _layout(self.ring.nvars, top)
+        return top, tuple(_pack(e, shifts) for e in exps)
+
     def contains(self, u: Monomial) -> bool:
         if u.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
-        return any(g.divides(u) for g in self.gens)
+        top, packed = self._packed
+        shifts, guards = _layout(self.ring.nvars, top)
+        e = u.exponents
+        if max(e) > top:
+            # no generator exponent exceeds top, so capping u at top keeps divisibility
+            e = [min(x, top) for x in e]
+        return _divides_any(packed, _pack(e, shifts), guards)
 
     def is_subset_of(self, other: "MonomialIdeal") -> bool:
+        self._check(other)
         return all(other.contains(g) for g in self.gens)
 
     def __le__(self, other: "MonomialIdeal") -> bool:
@@ -197,7 +326,8 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return ideal(self.ring, [g * h for g in self.gens for h in other.gens])
+        products = [tuple(map(add, g, h)) for g in self._exps for h in other._exps]
+        return _shell(self.ring, _minimal(products))
 
     def scale(self, u: Monomial) -> "MonomialIdeal":
         """The ideal u * self."""
@@ -215,23 +345,20 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return ideal(self.ring, [g.lcm(h) for g in self.gens for h in other.gens])
+        return _shell(self.ring, _intersect(self._exps, other._exps))
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """The colon ideal self : (u)."""
         if u.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
-        return ideal(self.ring, [g.colon_factor(u) for g in self.gens])
+        return _shell(self.ring, _colon(self._exps, u.exponents))
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other, intersected over the generators of other."""
         self._check(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
-        result = self.colon(other.gens[0])
-        for u in other.gens[1:]:
-            result = result.intersect(self.colon(u))
-        return result
+        return _shell(self.ring, _colon_ideal(self._exps, other._exps))
 
     def saturate(self) -> "MonomialIdeal":
         """Saturation by the maximal ideal: I : m^∞ = ∩_i (I : x_i^∞).
@@ -239,11 +366,11 @@ class MonomialIdeal:
         I : x_i^∞ is generated by the generators of I with exponent i set to 0
         (Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2).
         """
-        parts = []
-        for i in range(self.ring.nvars):
-            zeroed = [g.exponents[:i] + (0,) + g.exponents[i + 1:] for g in self.gens]
-            parts.append(ideal(self.ring, map(self.ring.monomial, zeroed)))
-        return functools.reduce(MonomialIdeal.intersect, parts)
+        parts = [
+            _minimal([e[:i] + (0,) + e[i + 1:] for e in self._exps])
+            for i in range(self.ring.nvars)
+        ]
+        return _shell(self.ring, functools.reduce(_intersect, parts))
 
     def krull_dim_quotient(self) -> int:
         """Krull dimension of S/self; -1 for the unit ideal (zero ring)."""
@@ -288,17 +415,17 @@ class MonomialIdeal:
 
 def minimalize(ring: RingSpec, gens) -> MonomialIdeal:
     """The unique minimal generating set: drop every monomial divisible by another one."""
-    gens = list(gens)
+    by_exps = {}
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator from a different ring")
-    unique = sorted(set(gens), key=lambda m: (m.degree, m.exponents))
-    minimal = []
-    for g in unique:
-        if not any(h.divides(g) for h in minimal):
-            minimal.append(g)
-    minimal.sort(key=lambda m: m.exponents)
-    return MonomialIdeal(ring, tuple(minimal))
+        by_exps[g.exponents] = g
+    return MonomialIdeal(ring, tuple(by_exps[e] for e in _minimal(by_exps)))
+
+
+def _shell(ring: RingSpec, exps) -> MonomialIdeal:
+    """The ideal with the given minimal generating tuples, validated as Monomials."""
+    return MonomialIdeal(ring, tuple(Monomial(ring, e) for e in exps))
 
 
 def ideal(ring: RingSpec, gens) -> MonomialIdeal:

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import settings
+
 from regpow import Monomial, MonomialIdeal, RingSpec, ideal
+
+# Every run draws the same examples and writes no example database, so the
+# suite's output is deterministic.  Tests still set their own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def ring(*names: str) -> RingSpec:
@@ -54,3 +61,38 @@ def saturate_by_colon_fixpoint(I: MonomialIdeal) -> MonomialIdeal:
         if nxt == current:
             return current
         current = nxt
+
+
+# The engine's former object-level routes, kept as oracles for the exponent-tuple kernel.
+
+
+def minimalize_by_objects(rng: RingSpec, gens) -> MonomialIdeal:
+    """Drop every monomial divisible by another one, testing Monomial.divides pair by pair."""
+    unique = sorted(set(gens), key=lambda m: (m.degree, m.exponents))
+    minimal = []
+    for g in unique:
+        if not any(h.divides(g) for h in minimal):
+            minimal.append(g)
+    minimal.sort(key=lambda m: m.exponents)
+    return MonomialIdeal(rng, tuple(minimal))
+
+
+def product_by_objects(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    return minimalize_by_objects(I.ring, [g * h for g in I.gens for h in J.gens])
+
+
+def intersect_by_lcms(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I ∩ J from the lcm of every pair of generators."""
+    return minimalize_by_objects(I.ring, [g.lcm(h) for g in I.gens for h in J.gens])
+
+
+def colon_by_objects(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
+    return minimalize_by_objects(I.ring, [g.colon_factor(u) for g in I.gens])
+
+
+def colon_ideal_by_fold(I: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
+    """I : K as the intersection of the I : u over the generators u of K."""
+    result = colon_by_objects(I, K.gens[0])
+    for u in K.gens[1:]:
+        result = intersect_by_lcms(result, colon_by_objects(I, u))
+    return result

@@ -201,6 +201,17 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_non_ascii_exponent_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "superscript.spec"
+    path.write_text("ring x y\nideal x^² y\n", encoding="utf-8")
+    code, out = run_cli(
+        ["compute", "--input", str(path), "--fn", "reg", "--from", "1", "--to", "1"]
+    )
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _ = run_cli(
         ["compute", "--input", str(tmp_path / "nope.spec"), "--fn", "reg",

@@ -17,7 +17,18 @@ from regpow import (
     zero_ideal,
 )
 
-from conftest import all_monomials, monomials_up_to, random_ideal, ring, saturate_by_colon_fixpoint
+from conftest import (
+    all_monomials,
+    colon_by_objects,
+    colon_ideal_by_fold,
+    intersect_by_lcms,
+    minimalize_by_objects,
+    monomials_up_to,
+    product_by_objects,
+    random_ideal,
+    ring,
+    saturate_by_colon_fixpoint,
+)
 
 
 # ---------------------------------------------------------------- construction
@@ -53,6 +64,21 @@ def test_ring_mismatch_is_rejected():
     b = ring("x", "z").var("x")
     with pytest.raises(RingMismatchError):
         a * b
+    I, J = ideal(a.ring, [a]), ideal(b.ring, [b])
+    for mixed in (
+        lambda: I + J,
+        lambda: I * J,
+        lambda: I.intersect(J),
+        lambda: I.colon(b),
+        lambda: I.colon_ideal(J),
+        lambda: I.contains(b),
+        lambda: I.is_subset_of(J),
+        lambda: zero_ideal(a.ring).is_subset_of(J),
+        lambda: minimalize(a.ring, [a, b]),
+        lambda: ideal(a.ring, [a, b]),
+    ):
+        with pytest.raises(RingMismatchError):
+            mixed()
 
 
 # ------------------------------------------------------------------ parsing
@@ -66,7 +92,7 @@ def test_parse_monomial_examples():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "z", "x^0", "x^-1", "x*x", "x^", "x^a", "x*", "*x"]
+    "bad", ["", "z", "x^0", "x^-1", "x*x", "x^", "x^a", "x*", "*x", "x^²", "x^٣"]
 )
 def test_parse_monomial_rejects(bad):
     r = ring("x", "y")
@@ -174,6 +200,51 @@ def test_saturate_matches_colon_fixpoint_oracle():
             assert saturated == saturate_by_colon_fixpoint(I), I
             unsaturated += saturated != I
     assert unsaturated >= 100
+
+
+# Exponents at the packed field-width edges: 7 | 8, 15 | 16 and 63 | 64 need one more bit.
+EDGE_EXPONENTS = (7, 8, 15, 16, 63, 64, 200)
+
+
+def _edge_monomial(rnd, r, edge):
+    return Monomial(r, tuple(rnd.choice((0, 0, 1, 2, 3, edge - 1, edge)) for _ in range(r.nvars)))
+
+
+def _edge_ideal(rnd, r, edge):
+    roll = rnd.random()
+    if roll < 0.05:
+        return zero_ideal(r)
+    if roll < 0.1:
+        return unit_ideal(r)
+    return ideal(r, [_edge_monomial(rnd, r, edge) for _ in range(rnd.randint(1, 5))])
+
+
+def test_kernel_matches_object_oracle():
+    """The exponent-tuple kernel against the former object-level routes, on 2,100 seeded cases."""
+    rnd = random.Random(5)
+    seen = {"zero": 0, "unit": 0, "member": 0, "lcm pair": 0}
+    for case in range(2100):
+        r = RingSpec(tuple(f"x{i}" for i in range(1 + case % 6)))
+        edge = EDGE_EXPONENTS[case % len(EDGE_EXPONENTS)]
+        raw = [_edge_monomial(rnd, r, edge) for _ in range(rnd.randint(0, 8))]
+        assert minimalize(r, raw) == minimalize_by_objects(r, raw)
+        I, J = _edge_ideal(rnd, r, edge), _edge_ideal(rnd, r, edge)
+        u = _edge_monomial(rnd, r, edge)
+        assert I.contains(u) == any(g.divides(u) for g in I.gens)
+        assert I * J == product_by_objects(I, J)
+        assert I.power(2) == product_by_objects(I, I)
+        assert I.intersect(J) == intersect_by_lcms(I, J)
+        assert I.colon(u) == colon_by_objects(I, u)
+        assert I.colon_ideal(r.maximal_ideal()) == colon_ideal_by_fold(I, r.maximal_ideal())
+        if not J.is_zero():
+            assert I.colon_ideal(J) == colon_ideal_by_fold(I, J)
+        seen["zero"] += I.is_zero()
+        seen["unit"] += I.is_unit()
+        seen["member"] += any(J.contains(g) for g in I.gens)
+        seen["lcm pair"] += any(not J.contains(g) for g in I.gens) and any(
+            not I.contains(h) for h in J.gens
+        )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_krull_dim_examples():
