@@ -1,4 +1,4 @@
-"""Graded Betti numbers of monomial subquotients via Koszul homology, exact over the rationals.
+"""Graded Betti numbers of monomial subquotients via Koszul homology, exact over the integers.
 
 The production path decomposes the Koszul complex K(x_1..x_r) ⊗ A/B by
 multidegree: each multidegree block is a complex of dimension at most
@@ -11,13 +11,24 @@ puts Tor_i(A/B)_b between Tor_i(A)_b and Tor_{i-1}(B)_b.  At each lattice
 point the block is the relative upper Koszul simplicial complex of
 (A, B) (Miller–Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
 
+The block at alpha comes from facets, one pass over the generators: a
+generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
+and the faces of K^alpha(A) are the subsets of some T_g (likewise for B).
+A face is a bitmask of variables, and a complex is a face set, one int
+with bit F set for each face F, so the block is K^alpha(A) & ~K^alpha(B).
+Its boundary matrices have entries 0 and ±1 and are ranked exactly over
+the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
+across lattice points and tables, so their homology is memoized on the
+face set in a bounded LRU cache.
+
 Every lattice point lies in the componentwise-lcm box of the generators,
 so the box degree plus r still bounds every degree j with a nonzero Betti
 number.  `search_bound` keeps that box value rather than the lattice's top
 degree: `regpow betti --format json` prints it and the disk cache stores
 it, and it depends only on the generators' lcms, not on which lattice
 points carry homology.  A full bidegree-matrix path (`koszul_piece`,
-`betti_bidegree`) is kept as an independent cross-check.
+`betti_bidegree`), ranked by rational Gaussian elimination, is kept as an
+independent cross-check.
 """
 from __future__ import annotations
 
@@ -31,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import _divides_any, _layout, _lcm_closure, _pack
+from .monomials import _layout, _lcm_closure, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
 
@@ -150,37 +161,99 @@ def betti_bidegree(module: Subquotient, i: int, j: int) -> int:
     return dim - rank_of_piece(here) - rank_of_piece(above)
 
 
-def _block_betti(levels: dict, nv: int) -> dict:
-    """Homology dimensions of one multidegree block of the Koszul complex.
+def _rank_int(rows) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
 
-    levels maps homological index i to the sorted tuple of variable
-    subsets F present in the block.
+    After k pivots every live entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
     """
-    ranks = {}
-    for i in range(1, nv + 1):
-        domain = levels.get(i)
-        codomain = levels.get(i - 1)
-        if not domain or not codomain:
-            ranks[i] = 0
+    mat = [list(row) for row in rows]
+    if not mat or not mat[0]:
+        return 0
+    nrows, ncols = len(mat), len(mat[0])
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
+        if pivot is None:
             continue
-        index = {F: r for r, F in enumerate(codomain)}
-        codomain_set = set(codomain)
-        rows = [[0] * len(domain) for _ in codomain]
-        for c, F in enumerate(domain):
-            for k in range(len(F)):
-                G = F[:k] + F[k + 1 :]
-                if G in codomain_set:
-                    rows[index[G]][c] = (-1) ** k
-        ranks[i] = _rank_dense(rows)
-    ranks[nv + 1] = 0
-    out = {}
-    for i in range(nv + 1):
-        dim = len(levels.get(i, ()))
-        if dim:
-            b = dim - ranks.get(i, 0) - ranks[i + 1]
-            if b:
-                out[i] = b
-    return out
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        p = prow[col]
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            f = row[col]
+            if not f and p == prev:
+                continue  # the update would leave this row as it is
+            for c in range(col + 1, ncols):
+                row[c] = (p * row[c] - f * prow[c]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _simplex(mask: int) -> int:
+    """The face set of the full simplex on the vertex bitmask `mask`: bit S set for every S ⊆ mask."""
+    faces = 1
+    while mask:
+        low = mask & -mask
+        faces |= faces << low
+        mask ^= low
+    return faces
+
+
+def _levels(faces: int) -> dict:
+    """The faces of a face set by size, each list in increasing bitmask order."""
+    levels = {}
+    while faces:
+        low = faces & -faces
+        F = low.bit_length() - 1
+        levels.setdefault(F.bit_count(), []).append(F)
+        faces ^= low
+    return levels
+
+
+def _boundary(levels: dict, i: int) -> list:
+    """The boundary from the size-i faces to the size-(i-1) faces, one row per size-i face.
+
+    Removing the k-th vertex of F (in increasing order) has sign (-1)^k; a
+    face outside the block is zero in the relative complex and gets no entry.
+    """
+    index = {G: c for c, G in enumerate(levels.get(i - 1, ()))}
+    rows = []
+    for F in levels.get(i, ()):
+        row = [0] * len(index)
+        rest, sign = F, 1
+        while rest:
+            low = rest & -rest
+            c = index.get(F ^ low)
+            if c is not None:
+                row[c] = sign
+            sign = -sign
+            rest ^= low
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=4096)
+def _block_betti(faces: int) -> tuple:
+    """The nonzero homology dimensions (i, beta_i) of one block, given by its face set.
+
+    beta_i = #(faces of size i) - rank d_i - rank d_{i+1}.  Blocks repeat
+    across lattice points and tables, hence the memo on the face set.
+    """
+    levels = _levels(faces)
+    top = max(levels)
+    ranks = [0] * (top + 2)
+    for i in range(1, top + 1):
+        ranks[i] = _rank_int(_boundary(levels, i))
+    out = []
+    for i, level in sorted(levels.items()):
+        b = len(level) - ranks[i] - ranks[i + 1]
+        if b:
+            out.append((i, b))
+    return tuple(out)
 
 
 def _compute_betti_table(module: Subquotient) -> BettiTable:
@@ -198,32 +271,45 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
     entries = {}
     if module.is_zero():
         return BettiTable(entries, search_bound)
-    # Every coordinate of a lattice point, a generator or a squarefree x^F is at most max(box, 1).
-    shifts, guards = _layout(nv, max(max(box), 1))
+    # Every coordinate of a lattice point or a generator is at most top.
+    top = max(max(box), 1)
+    shifts, guards = _layout(nv, top)
+    field_guards = [1 << (s + top.bit_length()) for s in shifts]
+    ones = _pack((1,) * nv, shifts)
     a_packed = [_pack(e, shifts) for e in a_exps]
     b_packed = [_pack(e, shifts) for e in b_exps]
-    subsets = [
-        (F, _pack([int(v in F) for v in range(nv)], shifts))
-        for i in range(nv + 1)
-        for F in itertools.combinations(range(nv), i)
-    ]
+    simplices = {}  # guard pattern of a facet -> face set of the simplex on it
+
+    def complex_at(q: int, packed) -> int:
+        """Face set of the upper Koszul complex at the packed point q = x^alpha | guards.
+
+        A generator g with g | x^alpha has the facet T_g = {j : g_j < alpha_j}:
+        the field of (q - g) - ones keeps its guard bit exactly when
+        alpha_j - g_j - 1 >= 0, so that guard pattern encodes T_g.
+        """
+        faces = 0
+        for g in packed:
+            d = q - g
+            if d & guards == guards:
+                pattern = (d - ones) & guards
+                simplex = simplices.get(pattern)
+                if simplex is None:
+                    mask = sum(1 << j for j, bit in enumerate(field_guards) if pattern & bit)
+                    simplex = simplices[pattern] = _simplex(mask)
+                faces |= simplex
+        return faces
+
     for alpha in sorted(_lcm_closure(a_exps) | _lcm_closure(b_exps)):
-        point = _pack(alpha, shifts)
-        levels = {}
-        for F, x_F in subsets:
-            # alpha - F is a multidegree of the block iff x^F | x^alpha, and it
-            # carries a basis element iff x^(alpha - F) lies in A and not in B.
-            if not _divides_any((x_F,), point, guards):
-                continue
-            e = point - x_F
-            if _divides_any(b_packed, e, guards) or not _divides_any(a_packed, e, guards):
-                continue
-            levels.setdefault(len(F), []).append(F)
-        if not levels:
+        q = _pack(alpha, shifts) | guards
+        # The block is the relative complex (K^alpha(A), K^alpha(B)): the faces
+        # F with x^(alpha - F) in A and not in B.
+        faces = complex_at(q, a_packed)
+        if faces:
+            faces &= ~complex_at(q, b_packed)
+        if not faces:
             continue
-        levels = {i: tuple(v) for i, v in levels.items()}
         j = sum(alpha)
-        for i, b in _block_betti(levels, nv).items():
+        for i, b in _block_betti(faces):
             entries[(i, j)] = entries.get((i, j), 0) + b
     return BettiTable(entries, search_bound)
 

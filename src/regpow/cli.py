@@ -67,9 +67,19 @@ def _load_spec(path):
         return parse_spec(fh.read())
 
 
+def _int_list(flag: str, text):
+    """A comma-separated list of ASCII-digit integers, or None when the flag is absent."""
+    if not text:
+        return None
+    items = text.split(",")
+    for item in items:
+        if not (item.isascii() and item.isdigit()):
+            raise InputError(f"--{flag} must be comma-separated non-negative integers, got {item!r}")
+    return tuple(map(int, items))
+
+
 def _family_spec(args) -> FamilySpec:
-    c = tuple(int(x) for x in args.c.split(",")) if args.c else None
-    e = tuple(int(x) for x in args.e.split(",")) if args.e else None
+    c, e = _int_list("c", args.c), _int_list("e", args.e)
     return FamilySpec(args.family, d=args.d, c=c, e=e, r=args.r, t=args.t)
 
 

@@ -114,18 +114,11 @@ def _colon_ideal(gens, divisors) -> list:
 
 
 def _lcm_closure(gens) -> set:
-    """Every lcm of a nonempty subset of the exponent tuples `gens`."""
-    closure = set(gens)
-    frontier = list(closure)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                point = tuple(map(max, a, g))
-                if point not in closure:
-                    closure.add(point)
-                    fresh.append(point)
-        frontier = fresh
+    """Every lcm of a nonempty subset of the exponent tuples `gens`, adding one generator at a time."""
+    closure = set()
+    for g in gens:
+        closure |= {tuple(map(max, a, g)) for a in closure}
+        closure.add(g)
     return closure
 
 
@@ -160,7 +153,9 @@ class RingSpec:
         return Monomial(self, tuple(exponents))
 
     def maximal_ideal(self) -> "MonomialIdeal":
-        return ideal(self, [self.var(v) for v in self.variables])
+        # The unit vectors are already minimal; sorted, x_r comes first as in `_minimal`.
+        units = (tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars))
+        return _shell(self, sorted(units))
 
     def parse_monomial(self, text: str) -> "Monomial":
         return parse_monomial(self, text)

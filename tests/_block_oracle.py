@@ -1,0 +1,95 @@
+"""The engine's former Betti block path, kept as a test oracle for the facet path.
+
+At each point alpha of L(A) ∪ L(B) it tests all 2^r squarefree x^F for
+x^F | x^alpha, x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
+divisibility kernel, builds each block's boundary matrices on sorted tuples of
+variables and ranks them by rational Gaussian elimination (`_rank_dense`).
+The lcm lattice comes from a frontier search rather than the one-pass closure.
+"""
+from __future__ import annotations
+
+import itertools
+
+from regpow.betti import _rank_dense
+from regpow.monomials import _divides_any, _layout, _pack
+
+
+def lcm_closure_by_frontier(gens) -> set:
+    """Every lcm of a nonempty subset of `gens`, grown from the generators by frontier."""
+    closure = set(gens)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                point = tuple(map(max, a, g))
+                if point not in closure:
+                    closure.add(point)
+                    fresh.append(point)
+        frontier = fresh
+    return closure
+
+
+def block_levels(alpha, a_exps, b_exps) -> dict:
+    """{i: faces of size i} of the block at alpha, each face a sorted tuple of variables."""
+    nv = len(alpha)
+    top = max(itertools.chain(alpha, *a_exps, *b_exps, (1,)))
+    shifts, guards = _layout(nv, top)
+    a_packed = [_pack(e, shifts) for e in a_exps]
+    b_packed = [_pack(e, shifts) for e in b_exps]
+    point = _pack(alpha, shifts)
+    levels = {}
+    for i in range(nv + 1):
+        for F in itertools.combinations(range(nv), i):
+            x_F = _pack([int(v in F) for v in range(nv)], shifts)
+            if not _divides_any((x_F,), point, guards):
+                continue
+            e = point - x_F
+            if _divides_any(b_packed, e, guards) or not _divides_any(a_packed, e, guards):
+                continue
+            levels.setdefault(i, []).append(F)
+    return levels
+
+
+def block_betti(levels: dict, nv: int) -> dict:
+    """Homology dimensions {i: beta_i} of one block given by its faces by size."""
+    ranks = {}
+    for i in range(1, nv + 1):
+        domain = levels.get(i)
+        codomain = levels.get(i - 1)
+        if not domain or not codomain:
+            ranks[i] = 0
+            continue
+        index = {F: r for r, F in enumerate(codomain)}
+        rows = [[0] * len(domain) for _ in codomain]
+        for c, F in enumerate(domain):
+            for k in range(len(F)):
+                G = F[:k] + F[k + 1:]
+                if G in index:
+                    rows[index[G]][c] = (-1) ** k
+        ranks[i] = _rank_dense(rows)
+    ranks[nv + 1] = 0
+    out = {}
+    for i in range(nv + 1):
+        dim = len(levels.get(i, ()))
+        if dim:
+            b = dim - ranks.get(i, 0) - ranks[i + 1]
+            if b:
+                out[i] = b
+    return out
+
+
+def betti_entries(a_exps, b_exps) -> dict:
+    """{(i, j): beta_{i,j}(A/B)} for minimal generating tuples of ideals B ⊆ A."""
+    entries = {}
+    if not a_exps:
+        return entries
+    nv = len(a_exps[0])
+    for alpha in sorted(lcm_closure_by_frontier(a_exps) | lcm_closure_by_frontier(b_exps)):
+        levels = block_levels(alpha, a_exps, b_exps)
+        if not levels:
+            continue
+        j = sum(alpha)
+        for i, b in block_betti(levels, nv).items():
+            entries[(i, j)] = entries.get((i, j), 0) + b
+    return entries

@@ -21,8 +21,19 @@ from regpow import (
     unit_ideal,
     zero_ideal,
 )
-from regpow.betti import _canonical_key, rank_of_piece
+from regpow.betti import (
+    _block_betti,
+    _boundary,
+    _canonical_key,
+    _compute_betti_table,
+    _levels,
+    _rank_dense,
+    _rank_int,
+    _simplex,
+    rank_of_piece,
+)
 
+import _block_oracle
 import _hochster
 from conftest import random_ideal, ring
 
@@ -207,6 +218,115 @@ def test_lattice_betti_tables_match_box_oracle():
             if A == unit_ideal(r):
                 seen.add("unit numerator")
     assert seen == {"artinian", "not artinian", "zero denominator", "unit numerator"}
+
+
+def _is_cone(faces: list) -> bool:
+    """Whether some vertex v lies in every facet, i.e. F ∪ {v} is a face for every face F."""
+    faces = {frozenset(F) for F in faces}
+    vertices = set().union(*faces)
+    return any(all(F | {v} in faces for F in faces) for v in vertices)
+
+
+def test_facet_blocks_match_membership_oracle():
+    """Bitmask facet blocks with integer rank against the former membership-test path."""
+    rnd = random.Random(59)
+    seen = set()
+    cases = 0
+    for nv in range(1, 7):
+        r = ring(*"xyzwuv"[:nv])
+        for k in range(90):
+            B = zero_ideal(r) if k % 5 == 0 else random_ideal(rnd, r)
+            A = unit_ideal(r) if k % 4 == 0 else B + random_ideal(rnd, r)
+            a_exps = [g.exponents for g in A.gens]
+            b_exps = [g.exponents for g in B.gens]
+            oracle = {} if A == B else _block_oracle.betti_entries(a_exps, b_exps)
+            assert betti_table(Subquotient(A, B)).entries == oracle, (A, B)
+            cases += 1
+            if not B.gens:
+                seen.add("zero denominator")
+            if A == unit_ideal(r):
+                seen.add("unit numerator")
+            if "non-cone B-complex" not in seen:
+                for alpha in _block_oracle.lcm_closure_by_frontier(a_exps + b_exps):
+                    # K^alpha(B): the faces F with x^(alpha - F) in B
+                    b_faces = [F for level in _block_oracle.block_levels(alpha, b_exps, []).values()
+                               for F in level]
+                    if b_faces and not _is_cone(b_faces):
+                        seen.add("non-cone B-complex")
+                        break
+    assert cases >= 500
+    assert seen == {"zero denominator", "unit numerator", "non-cone B-complex"}
+
+
+def test_integer_rank_matches_rational_rank():
+    rnd = random.Random(61)
+    seen = set()
+    for _ in range(400):
+        nrows, ncols = rnd.randint(0, 7), rnd.randint(1, 7)
+        if rnd.random() < 0.4:
+            # a product through k dimensions has rank at most k
+            k = rnd.randint(0, 3)
+            left = [[rnd.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+            right = [[rnd.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * ncols
+                    for row in left]
+        else:
+            rows = [[rnd.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
+        for c in range(ncols):
+            if rnd.random() < 0.2:
+                for row in rows:
+                    row[c] = 0
+        rank = _rank_dense(rows)
+        assert _rank_int(rows) == rank, rows
+        if rows and rank < min(nrows, ncols):
+            seen.add("rank-deficient")
+        if rows and any(not any(col) for col in zip(*rows)):
+            seen.add("zero column")
+    assert seen == {"rank-deficient", "zero column"}
+
+
+def _random_block(rnd, nv: int) -> int:
+    """The face set of a relative complex (K_A, K_B) on nv vertices with K_B ⊆ K_A."""
+    a_facets = [rnd.randrange(1 << nv) for _ in range(rnd.randint(1, 4))]
+    b_facets = [T & rnd.randrange(1 << nv) for T in a_facets if rnd.random() < 0.7]
+    a_faces = b_faces = 0
+    for T in a_facets:
+        a_faces |= _simplex(T)
+    for T in b_facets:
+        b_faces |= _simplex(T)
+    return a_faces & ~b_faces
+
+
+def test_bitmask_block_boundaries_compose_to_zero():
+    rnd = random.Random(67)
+    checked = 0
+    for _ in range(300):
+        levels = _levels(_random_block(rnd, rnd.randint(1, 6)))
+        for i in range(2, max(levels, default=0) + 1):
+            upper, lower = _boundary(levels, i), _boundary(levels, i - 1)
+            for row in upper:
+                composed = [sum(a * b for a, b in zip(row, col)) for col in zip(*lower)]
+                assert not any(composed)
+                checked += 1
+    assert checked > 1000
+
+
+def test_simplex_face_set():
+    assert _simplex(0) == 1
+    assert _simplex(0b101) == sum(1 << S for S in (0b000, 0b001, 0b100, 0b101))
+    assert _levels(_simplex(0b111)) == {0: [0], 1: [1, 2, 4], 2: [3, 5, 6], 3: [7]}
+
+
+def test_block_memo_is_bounded_and_transparent():
+    assert _block_betti.cache_info().maxsize is not None
+    rnd = random.Random(71)
+    r = ring("x", "y", "z", "w")
+    modules = [_random_subquotient(rnd, r) for _ in range(15)]
+    warm = [_compute_betti_table(M).entries for M in modules]
+    assert [_compute_betti_table(M).entries for M in modules] == warm
+    _block_betti.cache_clear()
+    assert [_compute_betti_table(M).entries for M in modules] == warm
+    assert _block_betti.cache_info().misses > 0
 
 
 def test_artinian_regularity_agrees_with_top_degree():

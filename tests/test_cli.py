@@ -166,6 +166,22 @@ def test_verify_family_without_closed_forms_is_an_input_error():
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "one_dim", "--d", "2", "--c", "3,,1", "--to", "2"],
+        ["construct", "--family", "ubiquity3", "--d", "3", "--e", "9,x"],
+        ["construct", "--family", "one_dim", "--d", "2", "--c", "3,\u0663"],
+    ],
+    ids=["empty item", "non-digit item", "non-ascii digit"],
+)
+def test_malformed_family_list_is_an_input_error(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_betti_subcommand_csv(tmp_path):
     path = tmp_path / "mx.spec"
     path.write_text("ring x y\nideal x y\n")

@@ -16,7 +16,9 @@ from regpow import (
     unit_ideal,
     zero_ideal,
 )
+from regpow.monomials import _lcm_closure
 
+import _block_oracle
 from conftest import (
     all_monomials,
     colon_by_objects,
@@ -139,6 +141,22 @@ def test_minimalize_idempotent_and_pairwise_nondivisible():
 
 
 # ------------------------------------------------------------- arithmetic
+
+
+def test_maximal_ideal_is_the_ideal_of_the_variables():
+    for nv in range(1, 7):
+        r = RingSpec(tuple(f"x{i}" for i in range(nv)))
+        assert r.maximal_ideal() == ideal(r, [r.var(v) for v in r.variables])
+
+
+def test_lcm_closure_matches_frontier_oracle():
+    rnd = random.Random(73)
+    for case in range(300):
+        nv = 1 + case % 6
+        gens = [tuple(rnd.randint(0, 3) for _ in range(nv)) for _ in range(rnd.randint(1, 7))]
+        if case % 3 == 0:
+            gens.append(rnd.choice(gens))  # a repeated generator
+        assert _lcm_closure(gens) == _block_oracle.lcm_closure_by_frontier(gens), gens
 
 
 def test_power_of_maximal_ideal():
