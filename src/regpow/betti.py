@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import _layout, _lcm_closure, _pack
+from .monomials import MonomialIdeal, _layout, _lcm_closure, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
 
@@ -256,16 +256,23 @@ def _block_betti(faces: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _lattice(ideal: MonomialIdeal) -> frozenset:
+    """L(ideal), the lcm lattice of the generators.
+
+    Neighbouring modules share ideals (I^n is the denominator of R/I^n and
+    of I^(n-1)/I^n, and the numerator of I^n/I^(n+1)), hence the memo.  Its
+    key is the ideal with its ring, and it is bounded because a lattice can
+    be large.
+    """
+    return frozenset(_lcm_closure(ideal._exps))
+
+
 def _compute_betti_table(module: Subquotient) -> BettiTable:
     ring = module.ring
     nv = ring.nvars
     A, B = module.numerator, module.denominator
-    a_exps = [g.exponents for g in A.gens]
-    b_exps = [g.exponents for g in B.gens]
-    box = tuple(
-        max(a, b)
-        for a, b in zip(A.lcm_exponents(), B.lcm_exponents())
-    )
+    box = tuple(map(max, A.lcm_exponents(), B.lcm_exponents()))
     union_lcm_degree = sum(box)
     search_bound = max(union_lcm_degree, 1) + nv
     entries = {}
@@ -276,8 +283,8 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
     shifts, guards = _layout(nv, top)
     field_guards = [1 << (s + top.bit_length()) for s in shifts]
     ones = _pack((1,) * nv, shifts)
-    a_packed = [_pack(e, shifts) for e in a_exps]
-    b_packed = [_pack(e, shifts) for e in b_exps]
+    a_packed = [_pack(e, shifts) for e in A._exps]
+    b_packed = [_pack(e, shifts) for e in B._exps]
     simplices = {}  # guard pattern of a facet -> face set of the simplex on it
 
     def complex_at(q: int, packed) -> int:
@@ -299,7 +306,7 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
                 faces |= simplex
         return faces
 
-    for alpha in sorted(_lcm_closure(a_exps) | _lcm_closure(b_exps)):
+    for alpha in sorted(_lattice(A) | _lattice(B)):
         q = _pack(alpha, shifts) | guards
         # The block is the relative complex (K^alpha(A), K^alpha(B)): the faces
         # F with x^(alpha - F) in A and not in B.
@@ -371,7 +378,7 @@ def _cache_write(path: str, key: str, table: BettiTable):
             pass
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _betti_table_memo(module: Subquotient) -> BettiTable:
     return _compute_betti_table(module)
 

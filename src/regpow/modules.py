@@ -25,13 +25,14 @@ class Subquotient:
             raise RingMismatchError("numerator and denominator live in different rings")
         if not self.denominator.is_subset_of(self.numerator):
             raise ValueError("denominator ideal is not contained in the numerator ideal")
+        object.__setattr__(self, "_zero", self.numerator.is_subset_of(self.denominator))
 
     @property
     def ring(self):
         return self.numerator.ring
 
     def is_zero(self) -> bool:
-        return self.numerator.is_subset_of(self.denominator)
+        return self._zero
 
 
 def quotient_ring(modulus: MonomialIdeal) -> Subquotient:

@@ -10,6 +10,23 @@ plain exponent tuples in one kernel of module-level functions (the
 "exponent-tuple kernel" section below, also used by `betti`), and only
 the final minimal generators become `Monomial`s.
 
+Every derived quantity of a value is computed once, because the same
+small values are hashed and queried again and again (memo keys, subset
+tests, membership):
+
+* `RingSpec` stores `nvars` and, on first use, its maximal ideal and its
+  unit ideal;
+* `MonomialIdeal` stores the exponent tuples of its generators (`_exps`)
+  and its hash when it is built, and the packed generators (`_packed`)
+  on the first membership test.  The hash is that of `_exps` alone:
+  equal ideals have equal tuples, so it agrees with `==`, and since it
+  hashes no variable names it is the same under every PYTHONHASHSEED and
+  survives pickling.
+
+The lazy ones go into the instance `__dict__` through `object.__setattr__`
+(`_once` below), not `functools.cached_property`, which on Python < 3.12
+takes a lock on every first access.
+
 Divisibility in the kernel is one big-integer subtraction.  With
 w = bit_length(largest exponent) + 1, an exponent vector e packs into
 fields of w bits: e_i sits in bits [w*i, w*i + w - 1) and the top bit of
@@ -72,12 +89,17 @@ def _minimal(exps) -> list:
         return unique[:1]
     shifts, guards = _layout(len(unique[0]), max(map(max, unique)))
     kept, out = [], []
-    # A proper divisor has lower degree, so it is kept before anything it divides.
-    for e in unique:
-        p = _pack(e, shifts)
-        if not _divides_any(kept, p, guards):
-            kept.append(p)
-            out.append(e)
+    # A proper divisor has strictly lower degree, so a candidate is tested only
+    # against the kept generators of lower degree; a level joins them once it
+    # is done.  An equigenerated input never runs the test.
+    for _, level in itertools.groupby(unique, key=sum):
+        fresh = []
+        for e in level:
+            p = _pack(e, shifts)
+            if not _divides_any(kept, p, guards):
+                fresh.append(p)
+                out.append(e)
+        kept += fresh
     out.sort()
     return out
 
@@ -122,6 +144,29 @@ def _lcm_closure(gens) -> set:
     return closure
 
 
+# ------------------------------------------------------------ values
+
+
+class _once:
+    """A derived attribute of an immutable value, computed on first access.
+
+    The value is stored in the instance `__dict__` under the same name, so
+    later reads never reach this descriptor.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Polynomial ring k[x_1,...,x_r] over the rationals with the standard grading."""
@@ -136,10 +181,7 @@ class RingSpec:
             raise ValueError("variable names must be nonempty strings")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
+        object.__setattr__(self, "nvars", len(self.variables))
 
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.nvars)
@@ -153,9 +195,17 @@ class RingSpec:
         return Monomial(self, tuple(exponents))
 
     def maximal_ideal(self) -> "MonomialIdeal":
+        return self._maximal
+
+    @_once
+    def _maximal(self) -> "MonomialIdeal":
         # The unit vectors are already minimal; sorted, x_r comes first as in `_minimal`.
         units = (tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars))
         return _shell(self, sorted(units))
+
+    @_once
+    def _unit(self) -> "MonomialIdeal":
+        return MonomialIdeal(self, (self.one(),))
 
     def parse_monomial(self, text: str) -> "Monomial":
         return parse_monomial(self, text)
@@ -270,10 +320,18 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        for g in self.gens:
-            if g.ring != self.ring:
+        gens = tuple(self.gens)
+        object.__setattr__(self, "gens", gens)
+        ring = self.ring
+        for g in gens:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generator from a different ring")
+        exps = tuple(g.exponents for g in gens)
+        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_hash", hash(exps))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -281,32 +339,37 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_one()
 
-    @property
-    def _exps(self) -> tuple:
-        return tuple(g.exponents for g in self.gens)
-
-    @functools.cached_property
+    @_once
     def _packed(self) -> tuple:
-        """(top, packed generators): the largest exponent and the kernel's form of the generators."""
-        exps = self._exps
-        top = max(map(max, exps), default=0)
-        shifts, _ = _layout(self.ring.nvars, top)
-        return top, tuple(_pack(e, shifts) for e in exps)
+        """(top, shifts, guards, packed generators): the kernel's form of the generators.
+
+        top is the largest generator exponent and (shifts, guards) its `_layout`.
+        """
+        top = max(map(max, self._exps), default=0)
+        shifts, guards = _layout(self.ring.nvars, top)
+        return top, shifts, guards, tuple(_pack(e, shifts) for e in self._exps)
+
+    def _outside(self, exps) -> list:
+        """The exponent tuples in exps (of this ring) whose monomials are not in the ideal."""
+        top, shifts, guards, packed = self._packed
+        if not top:  # the zero ideal contains nothing, the unit ideal everything
+            return [] if packed else list(exps)
+        out = []
+        for e in exps:
+            # no generator exponent exceeds top, so capping e at top keeps divisibility
+            capped = e if max(e) <= top else [min(x, top) for x in e]
+            if not _divides_any(packed, _pack(capped, shifts), guards):
+                out.append(e)
+        return out
 
     def contains(self, u: Monomial) -> bool:
         if u.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
-        top, packed = self._packed
-        shifts, guards = _layout(self.ring.nvars, top)
-        e = u.exponents
-        if max(e) > top:
-            # no generator exponent exceeds top, so capping u at top keeps divisibility
-            e = [min(x, top) for x in e]
-        return _divides_any(packed, _pack(e, shifts), guards)
+        return not self._outside((u.exponents,))
 
     def is_subset_of(self, other: "MonomialIdeal") -> bool:
         self._check(other)
-        return all(other.contains(g) for g in self.gens)
+        return not other._outside(self._exps)
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return self.is_subset_of(other)
@@ -317,7 +380,9 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return ideal(self.ring, self.gens + other.gens)
+        by_exps = dict(zip(self._exps, self.gens))
+        by_exps.update(zip(other._exps, other.gens))
+        return _keep_minimal(self.ring, by_exps)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -388,19 +453,11 @@ class MonomialIdeal:
 
     def lcm_degree(self) -> int:
         """Degree of the lcm of all minimal generators; 0 for the zero and unit ideals."""
-        if self.is_zero():
-            return 0
-        acc = self.gens[0]
-        for g in self.gens[1:]:
-            acc = acc.lcm(g)
-        return acc.degree
+        return sum(self.lcm_exponents())
 
     def lcm_exponents(self) -> tuple:
         """Componentwise maximum of the generator exponents (the zero vector if no generators)."""
-        exps = [0] * self.ring.nvars
-        for g in self.gens:
-            exps = [max(a, b) for a, b in zip(exps, g.exponents)]
-        return tuple(exps)
+        return tuple(map(max, zip(*self._exps))) or (0,) * self.ring.nvars
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -415,6 +472,11 @@ def minimalize(ring: RingSpec, gens) -> MonomialIdeal:
         if g.ring != ring:
             raise RingMismatchError("generator from a different ring")
         by_exps[g.exponents] = g
+    return _keep_minimal(ring, by_exps)
+
+
+def _keep_minimal(ring: RingSpec, by_exps: dict) -> MonomialIdeal:
+    """The ideal generated by the Monomials by_exps maps to, keeping the minimal ones."""
     return MonomialIdeal(ring, tuple(by_exps[e] for e in _minimal(by_exps)))
 
 
@@ -434,4 +496,4 @@ def zero_ideal(ring: RingSpec) -> MonomialIdeal:
 
 
 def unit_ideal(ring: RingSpec) -> MonomialIdeal:
-    return MonomialIdeal(ring, (ring.one(),))
+    return ring._unit

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .betti import regularity
 from .modules import NEG_INF, Subquotient
-from .monomials import MonomialIdeal, RingMismatchError, unit_ideal
+from .monomials import MonomialIdeal, RingMismatchError, _colon_ideal, unit_ideal
 
 
 class InputError(ValueError):
@@ -51,20 +51,15 @@ class PresentedIdeal:
             raise StandingHypothesisError("the presented ideal is zero")
         if total.is_unit():
             raise StandingHypothesisError("the presented ideal is the unit ideal")
+        object.__setattr__(self, "total", total)  # lift + quot
 
     @property
     def ring(self):
         return self.quot.ring
 
-    @property
-    def total(self) -> MonomialIdeal:
-        return self.lift + self.quot
-
     def minimal_gen_degrees(self) -> tuple:
         """Degrees of the minimal generators of I: generators of lift+quot outside quot."""
-        return tuple(
-            sorted(g.degree for g in self.total.gens if not self.quot.contains(g))
-        )
+        return tuple(sorted(map(sum, self.quot._outside(self.total._exps))))
 
     @property
     def d(self) -> int:
@@ -86,8 +81,17 @@ class PresentedIdeal:
 
     @lru_cache(maxsize=None)
     def _lifted_power(self, n: int) -> MonomialIdeal:
-        """lift^n + quot, the presentation of I^n."""
-        return self.lift.power(n) + self.quot
+        """lift^n + quot, the presentation of I^n, one product per power.
+
+        For n >= 2 it is (lift^(n-1) + quot) * lift + quot, because with
+        L = lift and Q = quot, (L^(n-1) + Q) L + Q = L^n + QL + Q = L^n + Q
+        (QL lies in Q).
+        """
+        if n < 2:
+            return self.lift.power(n) + self.quot
+        for k in range(2, n - 1):
+            self._lifted_power(k)  # fill the memo upward, so the call below recurses one level
+        return self._lifted_power(n - 1) * self.lift + self.quot
 
     def _power(self, n: int) -> MonomialIdeal:
         """lift^n + quot, after checking that n >= 1 and that I^n != 0 in R."""
@@ -133,12 +137,12 @@ class PresentedIdeal:
         because u = v*x_i with v in J : m would put u in J.
         """
         power_n = self._power(n)
-        colon_gens = power_n.colon_ideal(self.ring.maximal_ideal()).gens
-        return max((g.degree for g in colon_gens if not power_n.contains(g)), default=NEG_INF) + 1
+        colon = _colon_ideal(power_n._exps, self.ring.maximal_ideal()._exps)
+        return max(map(sum, power_n._outside(colon)), default=NEG_INF) + 1
 
     def gen_degree(self, n: int) -> int:
         """Maximal degree of the minimal generators of I^n."""
-        return max(g.degree for g in self._power(n).gens if not self.quot.contains(g))
+        return max(map(sum, self.quot._outside(self._power(n)._exps)))
 
     def function(self, name: str):
         if name not in FUNCTION_NAMES:

@@ -7,6 +7,7 @@ import pytest
 
 from regpow import (
     NEG_INF,
+    Monomial,
     Subquotient,
     betti,
     betti_bidegree,
@@ -15,6 +16,7 @@ from regpow import (
     ideal,
     is_artinian,
     koszul_piece,
+    minimalize,
     quotient_ring,
     regularity,
     top_degree,
@@ -22,10 +24,12 @@ from regpow import (
     zero_ideal,
 )
 from regpow.betti import (
+    _betti_table_memo,
     _block_betti,
     _boundary,
     _canonical_key,
     _compute_betti_table,
+    _lattice,
     _levels,
     _rank_dense,
     _rank_int,
@@ -318,15 +322,29 @@ def test_simplex_face_set():
 
 
 def test_block_memo_is_bounded_and_transparent():
-    assert _block_betti.cache_info().maxsize is not None
+    """The block, lattice and table memos are bounded, and cold memos give the warm tables."""
+    memos = (_block_betti, _lattice, _betti_table_memo)
+    assert all(memo.cache_info().maxsize is not None for memo in memos)
     rnd = random.Random(71)
     r = ring("x", "y", "z", "w")
     modules = [_random_subquotient(rnd, r) for _ in range(15)]
     warm = [_compute_betti_table(M).entries for M in modules]
     assert [_compute_betti_table(M).entries for M in modules] == warm
-    _block_betti.cache_clear()
-    assert [_compute_betti_table(M).entries for M in modules] == warm
-    assert _block_betti.cache_info().misses > 0
+    assert [betti_table(M).entries for M in modules] == warm
+    assert _lattice.cache_info().hits > 0
+    for memo in memos:
+        memo.cache_clear()
+        assert [_compute_betti_table(M).entries for M in modules] == warm
+        assert [betti_table(M).entries for M in modules] == warm
+    assert all(memo.cache_info().misses > 0 for memo in memos)
+    # a lattice is keyed by the ideal with its ring: the same generators in
+    # another ring get their own entry
+    s = ring("a", "b", "c", "d")
+    A, B = modules[0].numerator, modules[0].denominator
+    moved = Subquotient(*(minimalize(s, [Monomial(s, e) for e in I._exps]) for I in (A, B)))
+    before = _lattice.cache_info().currsize
+    assert _compute_betti_table(moved).entries == warm[0]
+    assert _lattice.cache_info().currsize > before
 
 
 def test_artinian_regularity_agrees_with_top_degree():

@@ -1,6 +1,9 @@
 """CLI end-to-end: subcommands, output formats, caching, exit codes."""
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +255,25 @@ def test_vanishing_power_hypothesis_exit_code(tmp_path):
         ["compute", "--input", str(path), "--fn", "reg", "--from", "1", "--to", "3"]
     )
     assert code == EXIT_HYPOTHESIS
+
+
+def test_output_and_hashes_do_not_depend_on_the_hash_seed(tmp_path):
+    """stdout and ideal hashes are the same in processes with different PYTHONHASHSEED."""
+    spec = str(tmp_path / "m2_reg.spec")
+    assert run_cli(["construct", "--family", "m2_reg", "--out", spec])[0] == EXIT_OK
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = [
+        ["-m", "regpow.cli", "compute", "--input", spec, "--fn", "sdeg", "--to", "4", "--format", "json"],
+        ["-m", "regpow.cli", "betti", "--input", spec, "--module", "diff", "--power", "2", "--format", "json"],
+        ["-c", "from regpow import FamilySpec, build; print(hash(build(FamilySpec('m2_reg')).total))"],
+    ]
+    outputs = {}
+    for seed in ("0", "1"):
+        env = {k: v for k, v in os.environ.items() if k != "REGPOW_CACHE"}
+        env.update(PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs[seed] = [
+            subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True).stdout
+            for args in runs
+        ]
+    assert outputs["0"] == outputs["1"]
+    assert all(out.strip() for out in outputs["0"])

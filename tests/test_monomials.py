@@ -1,4 +1,5 @@
 """Monomial and monomial-ideal arithmetic, checked against brute-force membership oracles."""
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from regpow import (
     unit_ideal,
     zero_ideal,
 )
+from regpow.modules import Subquotient
 from regpow.monomials import _lcm_closure
 
 import _block_oracle
@@ -140,6 +142,16 @@ def test_minimalize_idempotent_and_pairwise_nondivisible():
                     assert not g.divides(h)
 
 
+def test_minimal_drops_candidates_divided_by_lower_degree_levels():
+    r = ring("x", "y", "z")
+    # Degree levels 1 to 4: x (level 1) divides x^2*y and x*y*z (level 3), y^2
+    # (level 2) divides y^2*z^2 (level 4), z^3 (level 3) divides y*z^3 (level 4).
+    raw = [r.parse_monomial(t) for t in ("x*y*z", "y^2*z^2", "x", "y^2", "x^2*y", "z^3", "y*z^3")]
+    got = minimalize(r, raw)
+    assert got == minimalize_by_objects(r, raw)
+    assert [str(g) for g in got.gens] == ["z^3", "y^2", "x"]
+
+
 # ------------------------------------------------------------- arithmetic
 
 
@@ -240,7 +252,7 @@ def _edge_ideal(rnd, r, edge):
 def test_kernel_matches_object_oracle():
     """The exponent-tuple kernel against the former object-level routes, on 2,100 seeded cases."""
     rnd = random.Random(5)
-    seen = {"zero": 0, "unit": 0, "member": 0, "lcm pair": 0}
+    seen = {"zero": 0, "unit": 0, "member": 0, "lcm pair": 0, "subset": 0, "not subset": 0}
     for case in range(2100):
         r = RingSpec(tuple(f"x{i}" for i in range(1 + case % 6)))
         edge = EDGE_EXPONENTS[case % len(EDGE_EXPONENTS)]
@@ -256,6 +268,10 @@ def test_kernel_matches_object_oracle():
         assert I.colon_ideal(r.maximal_ideal()) == colon_ideal_by_fold(I, r.maximal_ideal())
         if not J.is_zero():
             assert I.colon_ideal(J) == colon_ideal_by_fold(I, J)
+        subset = all(J.contains(g) for g in I.gens)
+        assert I.is_subset_of(J) == subset
+        assert Subquotient(I + J, J).is_zero() == subset
+        seen["subset" if subset else "not subset"] += 1
         seen["zero"] += I.is_zero()
         seen["unit"] += I.is_unit()
         seen["member"] += any(J.contains(g) for g in I.gens)
@@ -263,6 +279,30 @@ def test_kernel_matches_object_oracle():
             not I.contains(h) for h in J.gens
         )
     assert min(seen.values()) >= 100, seen
+
+
+def test_equal_ideals_hash_equal_and_share_a_dict_key():
+    rnd = random.Random(11)
+    for case in range(200):
+        r = RingSpec(tuple(f"x{i}" for i in range(1 + case % 4)))
+        I, J = random_ideal(rnd, r), random_ideal(rnd, r)
+        builds = [
+            ideal(r, [str(g) for g in (I * J).gens]),
+            minimalize(r, [g * h for g in I.gens for h in J.gens] + list((I * J).gens)),
+            I * J,
+            J * I,
+            (I * J).intersect(J),  # I * J lies in J
+        ]
+        builds.append(pickle.loads(pickle.dumps(builds[0])))
+        memo = {}
+        for K in builds:
+            assert K == builds[0] and hash(K) == hash(builds[0])
+            memo[K] = memo.get(K, 0) + 1
+        assert memo == {builds[0]: len(builds)}
+        # ideals with the same generators in another ring are a different key
+        other = RingSpec(tuple(f"y{i}" for i in range(r.nvars)))
+        moved = MonomialIdeal(other, tuple(Monomial(other, e) for e in builds[0]._exps))
+        assert moved != builds[0] and moved not in memo
 
 
 def test_krull_dim_examples():

@@ -71,6 +71,45 @@ def test_module_of_kinds():
         X.module_of("socle", 1)
 
 
+def test_incremental_power_matches_direct_power():
+    """_lifted_power(n), built as (lift^(n-1) + quot) * lift + quot, equals lift^n + quot."""
+    PresentedIdeal._lifted_power.cache_clear()
+    rnd = random.Random(29)
+    seen = {"zero quot": 0, "quot absorbs a lift generator": 0, "needs + quot": 0}
+    cases = 0
+    while cases < 120:
+        r = RingSpec(tuple(f"x{i}" for i in range(rnd.randint(1, 4))))
+        lift = random_ideal(rnd, r, max_gens=4)
+        roll = rnd.random()
+        if roll < 0.25:
+            quot = zero_ideal(r)
+        elif roll < 0.6:
+            quot = ideal(r, [rnd.choice(lift.gens)]) + random_ideal(rnd, r, max_exp=4)
+        else:
+            quot = random_ideal(rnd, r, max_exp=4)
+        try:
+            X = PresentedIdeal(quot, lift)
+        except StandingHypothesisError:
+            continue
+        cases += 1
+        seen["zero quot"] += quot.is_zero()
+        seen["quot absorbs a lift generator"] += any(quot.contains(g) for g in lift.gens)
+        order = range(5, 0, -1) if cases % 2 else range(1, 6)  # cold from the top, or upward
+        for n in order:
+            assert X._lifted_power(n) == lift.power(n) + quot, (X, n)
+        # Without the final + quot the recursion would give lift^n + quot * lift.
+        seen["needs + quot"] += any(
+            X._lifted_power(n - 1) * lift != X._lifted_power(n) for n in range(2, 6)
+        )
+    assert min(seen.values()) >= 20, seen
+
+
+def test_high_power_is_not_a_deep_recursion():
+    r = ring("x")
+    X = PresentedIdeal(zero_ideal(r), ideal(r, ["x"]))
+    assert X._lifted_power(1500) == ideal(r, ["x^1500"])
+
+
 def test_vanishing_power_violates_standing_hypothesis():
     r = ring("x", "y")
     X = PresentedIdeal(ideal(r, ["x^2"]), ideal(r, ["x"]))
