@@ -29,6 +29,20 @@ it, and it depends only on the generators' lcms, not on which lattice
 points carry homology.  A full bidegree-matrix path (`koszul_piece`,
 `betti_bidegree`), ranked by rational Gaussian elimination, is kept as an
 independent cross-check.
+
+The disk cache (`REGPOW_CACHE`, or `cache_path=`) is a pure accelerator.
+Its file is one JSON object mapping a key to {"search_bound", "entries"};
+the key is the SHA-256 of a format tag (`CACHE_FORMAT`), the ring and
+both generating sets, so records under another tag are misses.  A process
+parses a file once and keeps the parsed view, parsing it again only when
+the file's (inode, size, mtime) signature changes; a hit then costs one
+`stat` and a dict lookup.  Every write merges into that view, encodes it
+whole to a temp file and renames it over the old file, so an interrupted
+write leaves the previous file intact.  A direct `betti_table` call writes
+its record at once; inside `deferred_cache_writes` (every `defect_report`
+runs its values in one) the records are collected and each file is
+written once on leaving the block.  There is no lock: two processes
+writing one file at the same time can still lose each other's records.
 """
 from __future__ import annotations
 
@@ -37,6 +51,8 @@ import itertools
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +61,8 @@ from .modules import NEG_INF, Subquotient, basis
 from .monomials import MonomialIdeal, _layout, _lcm_closure, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
+# Hashed into every cache key, so records of another format or engine version are misses.
+CACHE_FORMAT = "regpow-betti-cache 2"
 
 
 @dataclass
@@ -322,8 +340,10 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
 
 
 def _canonical_key(module: Subquotient) -> str:
+    """SHA-256 of the format tag, the ring and both generating sets, as 64 hex digits."""
     ring = module.ring
-    text = "ring {}\nnum {}\nden {}\n".format(
+    text = "{}\nring {}\nnum {}\nden {}\n".format(
+        CACHE_FORMAT,
         " ".join(ring.variables),
         " ".join(str(g) for g in module.numerator.gens) or "0",
         " ".join(str(g) for g in module.denominator.gens) or "0",
@@ -331,18 +351,47 @@ def _canonical_key(module: Subquotient) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cache_load(path: str) -> dict:
-    """The cache file's records; {} when it is missing, unreadable or not a JSON object."""
+# Absolute path -> (stat signature, records) of the file as this process last
+# parsed or wrote it.  The signature of a missing file is None.
+_views = {}
+
+# Inside deferred_cache_writes: absolute path -> {key: record} not yet written.
+_pending = ContextVar("regpow_betti_cache_pending", default=None)
+
+
+def _signature(path: str):
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _cache_records(path: str) -> dict:
+    """The file's records, parsed again only when its stat signature has changed.
+
+    {} when the file is missing, unreadable or not a JSON object.  Callers
+    must not mutate the result: it is the view the next lookup reads.
+    """
+    sig = _signature(path)
+    view = _views.get(path)
+    if view is not None and view[0] == sig:
+        return view[1]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
-        return {}
-    return data if isinstance(data, dict) else {}
+        data = None
+    records = data if isinstance(data, dict) else {}
+    _views[path] = (sig, records)
+    return records
 
 
 def _cache_read(path: str, key: str):
-    record = _cache_load(path).get(key)
+    pending = _pending.get()
+    record = pending.get(path, {}).get(key) if pending else None
+    if record is None:
+        record = _cache_records(path).get(key)
     if record is None:
         return None
     try:
@@ -352,16 +401,12 @@ def _cache_read(path: str, key: str):
         return None
 
 
-def _cache_write(path: str, key: str, table: BettiTable):
-    """Add one record; the new file replaces the old one whole, so an interrupted write loses nothing."""
-    data = _cache_load(path)
-    data[key] = {
-        "search_bound": table.search_bound,
-        "entries": sorted([i, j, b] for (i, j), b in table.entries.items()),
-    }
+def _cache_save(path: str, new: dict):
+    """Merge records into the file; the new file replaces the old one whole, so an interrupted write loses nothing."""
+    records = {**_cache_records(path), **new}
     try:
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)),
+            dir=os.path.dirname(path),
             prefix=os.path.basename(path) + ".",
             suffix=".tmp",
         )
@@ -369,13 +414,48 @@ def _cache_write(path: str, key: str, table: BettiTable):
         return
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
+            fh.write(json.dumps(records, sort_keys=True))
+        # A rename keeps inode, size and mtime, so this is the signature of the replaced file.
+        sig = _signature(tmp)
         os.replace(tmp, path)
     except OSError:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        return
+    _views[path] = (sig, records)
+
+
+def _cache_write(path: str, key: str, table: BettiTable):
+    record = {
+        "search_bound": table.search_bound,
+        "entries": sorted([i, j, b] for (i, j), b in table.entries.items()),
+    }
+    pending = _pending.get()
+    if pending is None:
+        _cache_save(path, {key: record})
+    else:
+        pending.setdefault(path, {})[key] = record
+
+
+@contextmanager
+def deferred_cache_writes():
+    """Collect the disk-cache records computed in the block and write each cache file once on leaving it.
+
+    The write runs in a `finally`, so records computed before an exception
+    are kept.  Lookups in the block see the records not yet written.  The
+    state lives in a context variable, so other threads and contexts keep
+    writing through at once.
+    """
+    pending = {}
+    token = _pending.set(pending)
+    try:
+        yield
+    finally:
+        _pending.reset(token)
+        for path, records in pending.items():
+            _cache_save(path, records)
 
 
 @lru_cache(maxsize=1024)
@@ -388,12 +468,13 @@ def betti_table(module: Subquotient, cache_path: str = None) -> BettiTable:
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV)
     if cache_path:
+        path = os.path.abspath(cache_path)
         key = _canonical_key(module)
-        cached = _cache_read(cache_path, key)
+        cached = _cache_read(path, key)
         if cached is not None:
             return cached
         table = _betti_table_memo(module)
-        _cache_write(cache_path, key, table)
+        _cache_write(path, key, table)
         return table
     return _betti_table_memo(module)
 

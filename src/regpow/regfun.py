@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .betti import regularity
+from .betti import deferred_cache_writes, regularity
 from .modules import NEG_INF, Subquotient
 from .monomials import MonomialIdeal, RingMismatchError, _colon_ideal, unit_ideal
 
@@ -188,7 +188,8 @@ def defect_report(
     if n_from < 1 or n_to < n_from:
         raise InputError("empty or invalid power range")
     fn = getattr(presented, function)
-    values = [fn(n) for n in range(n_from, n_to + 1)]
+    with deferred_cache_writes():  # one disk-cache write per report, not one per value
+        values = [fn(n) for n in range(n_from, n_to + 1)]
     if presented.equigenerated:
         slope = presented.d
         offset = _DEFECT_OFFSET[function]

@@ -1,6 +1,9 @@
 """Betti numbers via Koszul homology: golden examples, the dual-route cross-check,
 chain-complex sanity, short-exact-sequence bounds, and the disk cache."""
+import hashlib
+import importlib
 import json
+import os
 import random
 
 import pytest
@@ -8,10 +11,12 @@ import pytest
 from regpow import (
     NEG_INF,
     Monomial,
+    PresentedIdeal,
     Subquotient,
     betti,
     betti_bidegree,
     betti_table,
+    defect_report,
     hilbert,
     ideal,
     is_artinian,
@@ -34,6 +39,7 @@ from regpow.betti import (
     _rank_dense,
     _rank_int,
     _simplex,
+    deferred_cache_writes,
     rank_of_piece,
 )
 
@@ -411,22 +417,142 @@ def test_corrupted_cache_file_is_ignored(tmp_path):
         assert key in json.loads(cache.read_text()), text
 
 
+def _fail_cache_writes(monkeypatch):
+    """Make every cache write put 10 characters into its temp file and then raise OSError."""
+    real_fdopen = os.fdopen
+
+    class ShortWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, *args, **kwargs: ShortWrite(real_fdopen(fd, *args, **kwargs)))
+
+
 def test_interrupted_cache_write_keeps_the_previous_file(tmp_path, monkeypatch):
     r = ring("x", "y")
     cache = tmp_path / "betti.json"
     betti_table(quotient_ring(ideal(r, ["x^2", "y^2"])), cache_path=str(cache))
     before = cache.read_text()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write(json.dumps(obj, **kwargs)[:10])
-        raise OSError("no space left on device")
-
-    monkeypatch.setattr(json, "dump", failing_dump)
+    _fail_cache_writes(monkeypatch)
     M = quotient_ring(ideal(r, ["x^3", "y"]))
     assert betti_table(M, cache_path=str(cache)).entries == betti_table(M).entries
     assert cache.read_text() == before
     assert len(json.loads(before)) == 1
     assert list(tmp_path.iterdir()) == [cache]
+
+
+def test_interrupted_deferred_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """The one write at the end of a report fails: the old file stays whole and the values still come back."""
+    r = ring("x", "y")
+    X = PresentedIdeal(zero_ideal(r), ideal(r, ["x^2", "x*y"]))
+    expected = defect_report(X, "reg_quotient", 1, 4).values
+    cache = tmp_path / "betti.json"
+    betti_table(quotient_ring(ideal(r, ["x^2", "y^2"])), cache_path=str(cache))
+    before = cache.read_text()
+
+    _fail_cache_writes(monkeypatch)
+    monkeypatch.setenv("REGPOW_CACHE", str(cache))
+    assert defect_report(X, "reg_quotient", 1, 4).values == expected
+    assert cache.read_text() == before
+    assert list(tmp_path.iterdir()) == [cache]
+
+
+def _replace_cache_file(path, records):
+    """Replace the cache file as another process would: a new file renamed over it."""
+    tmp = path.with_name(path.name + ".other")
+    tmp.write_text(json.dumps(records))
+    os.replace(tmp, path)
+
+
+def _count_parses(monkeypatch) -> list:
+    """One entry per JSON parse from now on; json.load parses through json.loads."""
+    calls = []
+    real_loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    return calls
+
+
+# A record the engine would never produce, so a table carrying it came from the file.
+_MARKER = {"search_bound": 99, "entries": [[0, 0, 1]]}
+
+
+def test_cache_key_carries_the_format_tag(tmp_path):
+    r = ring("x", "y")
+    M = quotient_ring(ideal(r, ["x^2", "y^2"]))
+    key = _canonical_key(M)
+    assert len(key) == 64 and int(key, 16) >= 0
+    # The key of the previous format, which hashed no tag line.
+    untagged = hashlib.sha256(b"ring x y\nnum 1\nden y^2 x^2\n").hexdigest()
+    assert untagged != key
+    cache = tmp_path / "betti.json"
+    _replace_cache_file(cache, {untagged: _MARKER})
+    table = betti_table(M, cache_path=str(cache))
+    assert table.entries == betti_table(M).entries
+    assert table.search_bound != 99
+    assert set(json.loads(cache.read_text())) == {untagged, key}
+
+
+def test_cache_file_is_parsed_once_per_process(tmp_path, monkeypatch):
+    r = ring("x", "y")
+    M = quotient_ring(ideal(r, ["x^2", "y^2"]))
+    N = quotient_ring(ideal(r, ["x^3", "x*y"]))
+    cache = tmp_path / "betti.json"
+    _replace_cache_file(cache, {_canonical_key(M): _MARKER})
+    parses = _count_parses(monkeypatch)
+    assert betti_table(M, cache_path=str(cache)).search_bound == 99
+    assert len(parses) == 1
+    betti_table(M, cache_path=str(cache))  # hit
+    betti_table(N, cache_path=str(cache))  # miss, written through
+    assert betti_table(N, cache_path=str(cache)).entries == betti_table(N).entries  # hit
+    assert len(parses) == 1
+
+
+def test_replaced_cache_file_is_parsed_again(tmp_path, monkeypatch):
+    r = ring("x", "y")
+    M = quotient_ring(ideal(r, ["x^2", "y^2"]))
+    N = quotient_ring(ideal(r, ["x^3", "x*y"]))
+    cache = tmp_path / "betti.json"
+    betti_table(M, cache_path=str(cache))
+    parses = _count_parses(monkeypatch)
+    _replace_cache_file(cache, {_canonical_key(N): _MARKER})
+    assert betti_table(N, cache_path=str(cache)).search_bound == 99
+    assert len(parses) == 1
+    betti_table(N, cache_path=str(cache))  # hit
+    betti_table(M, cache_path=str(cache))  # miss: the other writer's file lacks M
+    assert len(parses) == 1
+    data = json.loads(cache.read_text())
+    assert set(data) == {_canonical_key(M), _canonical_key(N)}
+    assert data[_canonical_key(N)] == _MARKER
+
+
+def test_deferred_records_are_read_before_they_are_written(tmp_path, monkeypatch):
+    r = ring("x", "y")
+    M = quotient_ring(ideal(r, ["x^3", "y^2"]))
+    cache = tmp_path / "betti.json"
+    with deferred_cache_writes():
+        table = betti_table(M, cache_path=str(cache))
+        assert not cache.exists()
+        with monkeypatch.context() as patch:
+            # A second lookup in the scope must come from the pending record, not the engine.
+            patch.setattr(importlib.import_module("regpow.betti"), "_betti_table_memo", None)
+            assert betti_table(M, cache_path=str(cache)).entries == table.entries
+    assert list(json.loads(cache.read_text())) == [_canonical_key(M)]
 
 
 def test_cache_env_variable_is_honored(tmp_path, monkeypatch):

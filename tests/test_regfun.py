@@ -1,4 +1,6 @@
 """Power functions of a presented ideal: modules, values, defects, diagnostics."""
+import json
+import os
 import random
 
 import pytest
@@ -265,3 +267,38 @@ def test_reg_ring_of_polynomial_ring_is_zero():
     r = ring("x", "y")
     X = PresentedIdeal(zero_ideal(r), ideal(r, ["x^2", "y^2"]))
     assert X.reg_ring() == 0
+
+
+def _count_replaces(monkeypatch) -> list:
+    calls = []
+    real_replace = os.replace
+
+    def counting_replace(*args, **kwargs):
+        calls.append(args)
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    return calls
+
+
+def test_report_writes_the_disk_cache_once(tmp_path, monkeypatch):
+    X = _one_dim_instance()
+    expected = defect_report(X, "reg_quotient", 1, 5).values
+    cache = tmp_path / "cache.json"
+    monkeypatch.setenv("REGPOW_CACHE", str(cache))
+    replaces = _count_replaces(monkeypatch)
+    assert defect_report(X, "reg_quotient", 1, 5).values == expected
+    assert len(replaces) == 1
+    assert len(json.loads(cache.read_text())) == 5
+
+
+def test_report_stopped_by_a_vanishing_power_still_writes_the_disk_cache(tmp_path, monkeypatch):
+    r = ring("x", "y")
+    X = PresentedIdeal(ideal(r, ["x^3"]), ideal(r, ["x"]))  # I^3 = 0 in R
+    cache = tmp_path / "cache.json"
+    monkeypatch.setenv("REGPOW_CACHE", str(cache))
+    replaces = _count_replaces(monkeypatch)
+    with pytest.raises(StandingHypothesisError):
+        defect_report(X, "reg_quotient", 1, 5)
+    assert len(replaces) == 1
+    assert len(json.loads(cache.read_text())) == 2
