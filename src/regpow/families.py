@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .betti import deferred_cache_writes
 from .monomials import Monomial, RingSpec, ideal, zero_ideal
 from .regfun import InputError, PresentedIdeal
 
@@ -298,11 +299,12 @@ def verify(spec: FamilySpec, function: str, n_from: int, n_to: int) -> VerifyRep
     presented = build(spec)
     fn = getattr(presented, function)
     rows = []
-    for n in range(n_from, n_to + 1):
-        row = VerifyRow(n, fn(n), prediction(n))
-        rows.append(row)
-        if not row.ok:
-            break
+    with deferred_cache_writes():  # one disk-cache write per report, not one per value
+        for n in range(n_from, n_to + 1):
+            row = VerifyRow(n, fn(n), prediction(n))
+            rows.append(row)
+            if not row.ok:
+                break
     return VerifyReport(spec.family, function, rows)
 
 

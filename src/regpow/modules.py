@@ -8,9 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomials import MonomialIdeal, Monomial, RingMismatchError
-
-NEG_INF = float("-inf")
+from .monomials import NEG_INF, MonomialIdeal, Monomial, RingMismatchError
 
 
 @dataclass(frozen=True)

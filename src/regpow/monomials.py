@@ -41,13 +41,22 @@ intersection is generated by the pairwise lcms of the generators, where a
 generator that already lies in the other ideal stands for all of its
 lcms and only the remaining pairs are formed; I : u is generated by the
 g / gcd(g, u); and I : (u_1, ..., u_k) is the intersection of the I : u_j.
+
+The socle of S/I (`_socle_top`, which gives the saturation degree) is
+not built as I : m but searched by pivot splits, Roune's slice recursion
+(B. H. Roune, "The slice algorithm for irreducible decomposition of
+monomial ideals", J. Symbolic Comput. 44, 2009; Miller–Sturmfels,
+*Combinatorial Commutative Algebra*, GTM 227, Ch. 5), cut down to the
+largest degree.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, lshift
+from operator import add, le, lshift
+
+NEG_INF = float("-inf")  # the degree of the zero module; absorbing under max and +
 
 
 class RingMismatchError(ValueError):
@@ -133,6 +142,84 @@ def _colon_ideal(gens, divisors) -> list:
     for u in divisors[1:]:
         result = _intersect(result, _colon(gens, u))
     return result
+
+
+def _socle_top(gens, nvars: int):
+    """The largest degree of a maximal standard monomial of (gens); NEG_INF if there is none.
+
+    A maximal standard monomial of J is a monomial u not in J with u*x_j in J
+    for every j, that is, a monomial of the socle of S/J.  Write msm(J) for
+    their set.  For a generator g that is not a pure power and a pivot
+    p = x_i^k with 1 <= k <= g_i,
+
+        msm(J) = p * msm(J : p)  ∪  {w in msm(J + (p)) : w_i < k - 1 or w*x_i in J}.
+
+    Proof: if u_i >= k, then u = p*v, and u is not in J with every u*x_j in
+    J exactly when v is not in J : p with every v*x_j in J : p.  If u_i < k,
+    then u is not in (p), so u is not in J + (p), while every u*x_j is in
+    J, so u is in msm(J + (p)).  Conversely a w in msm(J + (p)) has w_i < k
+    and w not in J, and for j != i, w*x_j is not in (p), so it is in J; so
+    is w*x_i when w_i < k - 1, and when w_i = k - 1 it has to be tested.
+
+    Generators: J + (p) is generated by the g with g_i < k and p, with no
+    minimalization, because a pure power x_i^a of J does not divide the
+    non-pure generator g, so a > g_i >= k.  J : p is generated by the g with
+    g_i lowered by k (but not below 0); a lowered g can divide another only if
+    both had g_i <= k, so only those are minimalized.  Both sides have a
+    smaller total degree of non-pure generators than J, so the splits end.
+
+    Base cases: if a variable x_j divides no generator, u*x_j in J forces u
+    in J, so msm(J) is empty (this covers the zero and the unit ideal).  If
+    every generator is a pure power x_j^(a_j), one per variable, msm(J) is
+    the single monomial prod x_j^(a_j - 1).
+
+    Only the largest degree is wanted, so the search is depth first with a
+    bound.  Every u in msm(J) has, for each j, a generator g dividing u*x_j
+    but not u, so u_j = g_j - 1 <= lcm_j - 1.  A node whose msm elements are
+    offset * u (the offset is the product of the pivots above it) therefore
+    cannot beat |offset| + sum_j (lcm_j - 1), and it is cut when that is at
+    most the best degree found.  The `w*x_i in J` tests of the J + (p) sides
+    above a node ride down to the leaves as filters (i, o_i + k - 1, o, J),
+    o the offset of the split, and are checked on each leaf's monomial.
+
+    The pivot variable is the one in most non-pure generators, and k is the
+    median of its positive exponents there.
+    """
+    best = NEG_INF
+    pure = nvars - 1  # a pure power has this many zero exponents
+    stack = [(gens, (0,) * nvars, None)]
+    while stack:
+        gens, offset, filters = stack.pop()
+        if not gens:
+            continue
+        lcm = list(map(max, zip(*gens)))
+        if not all(lcm) or sum(offset) + sum(lcm) - nvars <= best:
+            continue
+        mixed = [g for g in gens if g.count(0) < pure]
+        if not mixed:
+            u = [o + a - 1 for o, a in zip(offset, lcm)]
+            while filters is not None:
+                (i, edge, base, split), filters = filters
+                if u[i] == edge:
+                    w = [a - b for a, b in zip(u, base)]
+                    w[i] += 1
+                    if not any(all(map(le, g, w)) for g in split):
+                        break
+            else:
+                best = sum(u)
+            continue
+        columns = list(zip(*mixed))
+        i = max(range(nvars), key=lambda j: len(columns[j]) - columns[j].count(0))
+        exps = sorted(a for a in columns[i] if a)
+        k = exps[len(exps) // 2]
+        plus = [g for g in gens if g[i] < k]
+        plus.append(tuple(k if j == i else 0 for j in range(nvars)))
+        stack.append((plus, offset, ((i, offset[i] + k - 1, offset, gens), filters)))
+        high = [g[:i] + (g[i] - k,) + g[i + 1:] for g in gens if g[i] > k]
+        low = [g[:i] + (0,) + g[i + 1:] for g in gens if g[i] <= k]
+        # J : p is taken first: its monomials carry the pivot, so it tends to set a high best early.
+        stack.append((high + _minimal(low), offset[:i] + (offset[i] + k,) + offset[i + 1:], filters))
+    return best
 
 
 def _lcm_closure(gens) -> set:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .betti import deferred_cache_writes, regularity
 from .modules import NEG_INF, Subquotient
-from .monomials import MonomialIdeal, RingMismatchError, _colon_ideal, unit_ideal
+from .monomials import MonomialIdeal, RingMismatchError, _socle_top, unit_ideal
 
 
 class InputError(ValueError):
@@ -130,15 +130,22 @@ class PresentedIdeal:
     def sdeg(self, n: int):
         """Saturation degree of I^n; NEG_INF when I^n is already saturated.
 
-        Read off the socle of S/J, where J = lift^n + quot and m = (x_1, ..., x_r):
-            sdeg = 1 + max{deg g : g a minimal generator of J : m, g not in J}.
-        A top-degree monomial u of sat(J)/J has u*x_i in J for every i, so u is in J : m.
-        Each u in J : m outside J is in sat(J) and is a minimal generator of J : m,
-        because u = v*x_i with v in J : m would put u in J.
+        Read off the socle of S/J, where J = lift^n + quot:
+            sdeg = 1 + max{deg u : u not in J, u*x_j in J for every j}.
+        A top-degree monomial u of sat(J)/J has every u*x_j in sat(J) in a higher
+        degree, hence in J; conversely such a u is in sat(J) \\ J.
+
+        The maximum comes from pivot splits (`_socle_top`), not from the colon
+        ideal J : m.  With msm(J) the set of such u and a pivot p = x_i^k,
+            msm(J) = p * msm(J : p)  ∪  {w in msm(J + (p)) : w_i < k - 1 or w*x_i in J},
+        split by whether u_i >= k.  The leaves are a variable that divides no
+        generator (no u) and pure powers x_j^(a_j) alone (u = prod x_j^(a_j - 1)),
+        and a branch is cut when its offset's degree plus sum_j (lcm_j - 1), a bound
+        because each u_j is some g_j - 1, cannot beat the best degree found.  The
+        proofs are in `_socle_top`.
         """
         power_n = self._power(n)
-        colon = _colon_ideal(power_n._exps, self.ring.maximal_ideal()._exps)
-        return max(map(sum, power_n._outside(colon)), default=NEG_INF) + 1
+        return _socle_top(power_n._exps, self.ring.nvars) + 1
 
     def gen_degree(self, n: int) -> int:
         """Maximal degree of the minimal generators of I^n."""

@@ -5,7 +5,7 @@ import itertools
 
 from hypothesis import settings
 
-from regpow import Monomial, MonomialIdeal, RingSpec, ideal
+from regpow import NEG_INF, Monomial, MonomialIdeal, RingSpec, ideal
 
 # Every run draws the same examples and writes no example database, so the
 # suite's output is deterministic.  Tests still set their own max_examples.
@@ -61,6 +61,18 @@ def saturate_by_colon_fixpoint(I: MonomialIdeal) -> MonomialIdeal:
         if nxt == current:
             return current
         current = nxt
+
+
+def sdeg_by_colon_fold(J: MonomialIdeal):
+    """1 + the largest degree of a minimal generator of J : m outside J, the engine's former sdeg route.
+
+    J : m comes from `colon_ideal`, the intersection of the J : x_i.  A monomial
+    u of J : m outside J has u*x_i in J for every i, so it lies in the socle of
+    S/J; it is a minimal generator of J : m, because u = v*x_i with v in J : m
+    would put u in J.
+    """
+    colon = J.colon_ideal(J.ring.maximal_ideal())
+    return max((g.degree for g in colon.gens if not J.contains(g)), default=NEG_INF) + 1
 
 
 # The engine's former object-level routes, kept as oracles for the exponent-tuple kernel.

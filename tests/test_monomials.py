@@ -18,7 +18,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.monomials import _lcm_closure
+from regpow.monomials import NEG_INF, _lcm_closure, _socle_top
 
 import _block_oracle
 from conftest import (
@@ -202,6 +202,18 @@ def test_colon_examples():
     # the displayed shape (Q : y^{dn}) = (x^{c_n}, y^{d(m-n)}) at d=2, c=(3,1), n=1
     Q = ideal(r, ["x^3", "x*y^2"])
     assert Q.colon(r.monomial((0, 2))) == ideal(r, ["x"])
+
+
+def test_socle_top_examples():
+    assert _socle_top([(2, 0), (0, 3)], 2) == 3  # x*y^2, the pure-power leaf
+    assert _socle_top([(2, 0), (1, 1), (0, 2)], 2) == 1  # x and y
+    assert _socle_top([(3, 0), (2, 1), (0, 2)], 2) == 2  # x^2 and x*y
+    assert _socle_top([(1, 0)], 2) == NEG_INF  # y divides no generator
+    assert _socle_top([], 2) == NEG_INF  # the zero ideal
+    assert _socle_top([(0, 0)], 2) == NEG_INF  # the unit ideal
+    # (y^2, x*y*z, x^2*z) is saturated; without the w*x_i in J filter a split
+    # on it would report a spurious socle monomial of degree 2.
+    assert _socle_top([(0, 2, 0), (1, 1, 1), (2, 0, 1)], 3) == NEG_INF
 
 
 def test_colon_by_zero_ideal_raises():

@@ -21,10 +21,12 @@ from regpow import (
     top_degree,
     quotient_ring,
     unit_ideal,
+    verify,
     zero_ideal,
 )
+from regpow import families, monomials, regfun
 
-from conftest import random_ideal, ring, saturate_by_colon_fixpoint
+from conftest import random_ideal, ring, saturate_by_colon_fixpoint, sdeg_by_colon_fold
 
 
 def _one_dim_instance():
@@ -181,6 +183,73 @@ def test_socle_sdeg_matches_saturation_oracle():
     assert seen == {"non-artinian", "artinian", "saturated", "unsaturated", "quot", "no quot"}
 
 
+# One window per family, two for ehl and cycle, at the sizes the CLI and acceptance tests use.
+FAMILY_WINDOWS = (
+    (FamilySpec("m2_sdeg"), 5),
+    (FamilySpec("m2_reg"), 4),
+    (FamilySpec("ehl", r=2), 4),
+    (FamilySpec("ehl", r=3), 4),
+    (FamilySpec("cycle", t=2), 3),
+    (FamilySpec("cycle", t=3), 4),
+    (FamilySpec("dim1b", d=2, c=(4, 3, 1)), 6),
+    (FamilySpec("dim1", d=1, c=(3, 1)), 6),
+    (FamilySpec("one_dim", d=2, c=(3, 1)), 6),
+    (FamilySpec("ubiquity3", d=3, e=(9, 5, 2, 2)), 6),
+)
+
+
+def _sdeg_case_kinds(X, J, value) -> set:
+    kinds = {
+        "artinian" if J.krull_dim_quotient() == 0 else "non-artinian",
+        "saturated" if value == NEG_INF else "unsaturated",
+        "quot" if not X.quot.is_zero() else "no quot",
+    }
+    if not all(J.lcm_exponents()):
+        kinds.add("variable missing")
+    return kinds
+
+
+def test_sdeg_matches_the_colon_fold():
+    rnd = random.Random(9)
+    seen = set()
+    ideals = 0
+    while ideals < 1000:
+        r = RingSpec(tuple(f"x{i}" for i in range(rnd.randint(1, 6))))
+        quot = random_ideal(rnd, r, max_exp=4) if rnd.random() < 0.5 else zero_ideal(r)
+        try:
+            X = PresentedIdeal(quot, random_ideal(rnd, r))
+        except StandingHypothesisError:
+            continue
+        ideals += 1
+        for n in (1, 2, 3):
+            try:
+                value = X.sdeg(n)
+            except StandingHypothesisError:
+                break
+            J = X._lifted_power(n)
+            assert value == sdeg_by_colon_fold(J), (X, n)
+            seen |= _sdeg_case_kinds(X, J, value)
+    for spec, n_max in FAMILY_WINDOWS:
+        X = build(spec)
+        for n in range(1, n_max + 1):
+            assert X.sdeg(n) == sdeg_by_colon_fold(X._lifted_power(n)), (spec, n)
+    assert seen == {
+        "artinian", "non-artinian", "saturated", "unsaturated", "variable missing", "quot", "no quot",
+    }
+
+
+def test_sdeg_at_the_frontier_runs_no_colon_fold(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sdeg folded J : m")
+
+    # the kernel fold where it is defined and wherever regfun might bind it by name
+    for module in (monomials, regfun):
+        monkeypatch.setattr(module, "_colon_ideal", refuse, raising=False)
+    monkeypatch.setattr(MonomialIdeal, "colon_ideal", refuse)
+    assert build(FamilySpec("cycle", t=4)).sdeg(5) == 10  # the colon fold's value
+    assert build(FamilySpec("cycle", t=5)).sdeg(5) == 2  # sdeg = 2 for n <= t
+
+
 def test_sdeg_equals_quotient_regularity_plus_one_in_dimension_zero():
     r = ring("x", "y")
     X = PresentedIdeal(zero_ideal(r), ideal(r, ["x^2", "y^3"]))
@@ -302,3 +371,30 @@ def test_report_stopped_by_a_vanishing_power_still_writes_the_disk_cache(tmp_pat
         defect_report(X, "reg_quotient", 1, 5)
     assert len(replaces) == 1
     assert len(json.loads(cache.read_text())) == 2
+
+
+def test_verify_writes_the_disk_cache_once(tmp_path, monkeypatch):
+    spec = FamilySpec("one_dim", d=2, c=(3, 1))
+    cache = tmp_path / "cache.json"
+    monkeypatch.setenv("REGPOW_CACHE", str(cache))
+    replaces = _count_replaces(monkeypatch)
+    assert len(verify(spec, "reg_quotient", 1, 6).rows) == 6
+    assert len(replaces) == 1
+    assert len(json.loads(cache.read_text())) == 6
+
+
+def test_verify_stopped_by_a_mismatch_still_writes_the_disk_cache_once(tmp_path, monkeypatch):
+    real_predict = families.predict
+
+    def off_at_three(spec, function):
+        prediction = real_predict(spec, function)
+        return lambda n: prediction(n) + (n == 3)
+
+    monkeypatch.setattr(families, "predict", off_at_three)
+    cache = tmp_path / "cache.json"
+    monkeypatch.setenv("REGPOW_CACHE", str(cache))
+    replaces = _count_replaces(monkeypatch)
+    report = verify(FamilySpec("one_dim", d=2, c=(3, 1)), "reg_quotient", 1, 6)
+    assert not report.ok and len(report.rows) == 3
+    assert len(replaces) == 1
+    assert len(json.loads(cache.read_text())) == 3
