@@ -21,6 +21,23 @@ the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
 across lattice points and tables, so their homology is memoized on the
 face set in a bounded LRU cache.
 
+The lattices are built and read as packed ints, never as exponent tuples.
+A table packs every exponent vector in one `_layout(r, top)`, top the
+largest exponent of the lcm box: fields of w bits whose top bit, the
+guard bit, is 0 (mask G).  In ((a | G) - g) no field borrows from the
+next, and a field keeps its guard bit exactly when a_j >= g_j.  So with
+sel = ((a | G) - g) & G and m = sel - (sel >> (w-1)), the value bits of
+those fields,
+
+    lcm(a, g) = (a & m) | (g & ~(m | G)),
+
+a's field where a_j >= g_j and g's elsewhere.  `monomials._lcm_closure`
+closes the generators under it, one generator at a time, and `_lattice`
+memoizes each ideal's lattice per layout in a bounded cache.  The block
+loop iterates the packed points directly: the same subtraction tells
+which generators divide a point and gives their facets, and a point's
+degree is unpacked only when its block is nonempty.
+
 Every lattice point lies in the componentwise-lcm box of the generators,
 so the box degree plus r still bounds every degree j with a nonzero Betti
 number.  `search_bound` keeps that box value rather than the lattice's top
@@ -275,15 +292,30 @@ def _block_betti(faces: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _lattice(ideal: MonomialIdeal) -> frozenset:
-    """L(ideal), the lcm lattice of the generators.
+def _lattice(ideal: MonomialIdeal, top: int) -> frozenset:
+    """L(ideal), the lcm lattice of the generators, packed in `_layout(nvars, top)`.
 
-    Neighbouring modules share ideals (I^n is the denominator of R/I^n and
-    of I^(n-1)/I^n, and the numerator of I^n/I^(n+1)), hence the memo.  Its
-    key is the ideal with its ring, and it is bounded because a lattice can
-    be large.
+    top must be at least every generator exponent.  Neighbouring modules
+    share ideals (I^n is the denominator of R/I^n and of I^(n-1)/I^n, and
+    the numerator of I^n/I^(n+1)), and their tables share a layout, hence
+    the memo.  Its key is the ideal with its ring and the layout's top, and
+    it is bounded because a lattice can be large.
     """
-    return frozenset(_lcm_closure(ideal._exps))
+    shifts, guards = _layout(ideal.ring.nvars, top)
+    return frozenset(_lcm_closure([_pack(e, shifts) for e in ideal._exps], guards))
+
+
+class _Simplices(dict):
+    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup."""
+
+    def __init__(self, field_guards):
+        super().__init__()
+        self.field_guards = field_guards
+
+    def __missing__(self, pattern: int) -> int:
+        mask = sum(1 << j for j, bit in enumerate(self.field_guards) if pattern & bit)
+        faces = self[pattern] = _simplex(mask)
+        return faces
 
 
 def _compute_betti_table(module: Subquotient) -> BettiTable:
@@ -299,43 +331,35 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
     # Every coordinate of a lattice point or a generator is at most top.
     top = max(max(box), 1)
     shifts, guards = _layout(nv, top)
-    field_guards = [1 << (s + top.bit_length()) for s in shifts]
+    value_bits = (1 << top.bit_length()) - 1
     ones = _pack((1,) * nv, shifts)
     a_packed = [_pack(e, shifts) for e in A._exps]
     b_packed = [_pack(e, shifts) for e in B._exps]
-    simplices = {}  # guard pattern of a facet -> face set of the simplex on it
-
-    def complex_at(q: int, packed) -> int:
-        """Face set of the upper Koszul complex at the packed point q = x^alpha | guards.
-
-        A generator g with g | x^alpha has the facet T_g = {j : g_j < alpha_j}:
-        the field of (q - g) - ones keeps its guard bit exactly when
-        alpha_j - g_j - 1 >= 0, so that guard pattern encodes T_g.
-        """
+    simplices = _Simplices([1 << (s + top.bit_length()) for s in shifts])
+    # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
+    # faces F with x^(alpha - F) in A and not in B.  With q = x^alpha | guards,
+    # a generator g divides x^alpha when q - g keeps every guard bit, and its
+    # facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
+    # a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.
+    for p in _lattice(A, top) | _lattice(B, top):
+        q = p | guards
         faces = 0
-        for g in packed:
+        for g in a_packed:
             d = q - g
             if d & guards == guards:
-                pattern = (d - ones) & guards
-                simplex = simplices.get(pattern)
-                if simplex is None:
-                    mask = sum(1 << j for j, bit in enumerate(field_guards) if pattern & bit)
-                    simplex = simplices[pattern] = _simplex(mask)
-                faces |= simplex
-        return faces
-
-    for alpha in sorted(_lattice(A) | _lattice(B)):
-        q = _pack(alpha, shifts) | guards
-        # The block is the relative complex (K^alpha(A), K^alpha(B)): the faces
-        # F with x^(alpha - F) in A and not in B.
-        faces = complex_at(q, a_packed)
-        if faces:
-            faces &= ~complex_at(q, b_packed)
+                faces |= simplices[(d - ones) & guards]
         if not faces:
             continue
-        j = sum(alpha)
-        for i, b in _block_betti(faces):
-            entries[(i, j)] = entries.get((i, j), 0) + b
+        for g in b_packed:
+            d = q - g
+            if d & guards == guards:
+                faces &= ~simplices[(d - ones) & guards]
+                if not faces:
+                    break
+        else:
+            j = sum((p >> s) & value_bits for s in shifts)
+            for i, b in _block_betti(faces):
+                entries[(i, j)] = entries.get((i, j), 0) + b
     return BettiTable(entries, search_bound)
 
 

@@ -36,6 +36,12 @@ borrows from the next, and its guard bit survives exactly when e_i >= h_i:
 
     h divides e  <=>  ((e | G) - h) & G == G.
 
+The same subtraction gives lcms (`_lcm_closure`, which builds lcm
+lattices for `betti`): sel = ((e | G) - h) & G keeps the guard bits of the
+fields with e_i >= h_i, m = sel - (sel >> (w-1)) is the mask of their value
+bits, and lcm(e, h) = (e & m) | (h & ~(m | G)) takes e's field there and
+h's field elsewhere.
+
 The rest is Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2: an
 intersection is generated by the pairwise lcms of the generators, where a
 generator that already lies in the other ideal stands for all of its
@@ -91,9 +97,13 @@ def _divides_any(packed, p: int, guards: int) -> bool:
     return False
 
 
-def _minimal(exps) -> list:
-    """The minimal exponent tuples under divisibility, deduplicated and sorted."""
-    unique = sorted(set(exps), key=sum)
+def _minimal(exps, inert=frozenset()) -> list:
+    """The minimal tuples of exps and inert under divisibility, deduplicated and sorted.
+
+    A tuple of the set `inert` must divide no other tuple of either: it is
+    tested against the others but never kept as a divisor.
+    """
+    unique = sorted({*exps, *inert}, key=sum)
     if len(unique) < 2 or not any(unique[0]):
         return unique[:1]
     shifts, guards = _layout(len(unique[0]), max(map(max, unique)))
@@ -106,8 +116,9 @@ def _minimal(exps) -> list:
         for e in level:
             p = _pack(e, shifts)
             if not _divides_any(kept, p, guards):
-                fresh.append(p)
                 out.append(e)
+                if not inert or e not in inert:
+                    fresh.append(p)
         kept += fresh
     out.sort()
     return out
@@ -165,8 +176,11 @@ def _socle_top(gens, nvars: int):
     minimalization, because a pure power x_i^a of J does not divide the
     non-pure generator g, so a > g_i >= k.  J : p is generated by the g with
     g_i lowered by k (but not below 0); a lowered g can divide another only if
-    both had g_i <= k, so only those are minimalized.  Both sides have a
-    smaller total degree of non-pure generators than J, so the splits end.
+    both had g_i <= k, so only those are minimalized.  Among them a g with
+    g_i = 0 is unchanged, and if it divided the lowered form of another
+    generator h it would divide h itself; so only the ones with 0 < g_i <= k
+    serve as divisors.  Both sides have a smaller total degree of non-pure
+    generators than J, so the splits end.
 
     Base cases: if a variable x_j divides no generator, u*x_j in J forces u
     in J, so msm(J) is empty (this covers the zero and the unit ideal).  If
@@ -216,17 +230,31 @@ def _socle_top(gens, nvars: int):
         plus.append(tuple(k if j == i else 0 for j in range(nvars)))
         stack.append((plus, offset, ((i, offset[i] + k - 1, offset, gens), filters)))
         high = [g[:i] + (g[i] - k,) + g[i + 1:] for g in gens if g[i] > k]
-        low = [g[:i] + (0,) + g[i + 1:] for g in gens if g[i] <= k]
+        lowered = [g[:i] + (0,) + g[i + 1:] for g in gens if 0 < g[i] <= k]
+        low = _minimal(lowered, inert=frozenset(g for g in gens if not g[i]))
         # J : p is taken first: its monomials carry the pivot, so it tends to set a high best early.
-        stack.append((high + _minimal(low), offset[:i] + (offset[i] + k,) + offset[i + 1:], filters))
+        stack.append((high + low, offset[:i] + (offset[i] + k,) + offset[i + 1:], filters))
     return best
 
 
-def _lcm_closure(gens) -> set:
-    """Every lcm of a nonempty subset of the exponent tuples `gens`, adding one generator at a time."""
+def _lcm_closure(packed, guards: int) -> set:
+    """Every lcm of a nonempty subset of the packed exponent vectors `packed`, adding one generator at a time.
+
+    The vectors share one `_layout`, with guard mask `guards`; each lcm is
+    the guard-bit identity of the module docstring.  Since a guard bit only
+    pays for the value bits of its own field, sel - (sel >> (w-1)) borrows
+    nothing from a neighbouring field, and the lcm's guard bits are 0 again.
+    """
+    low = (guards & -guards).bit_length() - 1  # w - 1, the place of the guard bit in its field
     closure = set()
-    for g in gens:
-        closure |= {tuple(map(max, a, g)) for a in closure}
+    for g in packed:
+        fresh = set()
+        add = fresh.add
+        for a in closure:
+            sel = ((a | guards) - g) & guards
+            m = sel - (sel >> low)
+            add((a & m) | (g & ~(m | guards)))
+        closure |= fresh
         closure.add(g)
     return closure
 

@@ -240,32 +240,43 @@ def _is_cone(faces: list) -> bool:
 def test_facet_blocks_match_membership_oracle():
     """Bitmask facet blocks with integer rank against the former membership-test path."""
     rnd = random.Random(59)
-    seen = set()
-    cases = 0
+    modules = []
     for nv in range(1, 7):
         r = ring(*"xyzwuv"[:nv])
         for k in range(90):
             B = zero_ideal(r) if k % 5 == 0 else random_ideal(rnd, r)
             A = unit_ideal(r) if k % 4 == 0 else B + random_ideal(rnd, r)
-            a_exps = [g.exponents for g in A.gens]
-            b_exps = [g.exponents for g in B.gens]
-            oracle = {} if A == B else _block_oracle.betti_entries(a_exps, b_exps)
-            assert betti_table(Subquotient(A, B)).entries == oracle, (A, B)
-            cases += 1
-            if not B.gens:
-                seen.add("zero denominator")
-            if A == unit_ideal(r):
-                seen.add("unit numerator")
-            if "non-cone B-complex" not in seen:
-                for alpha in _block_oracle.lcm_closure_by_frontier(a_exps + b_exps):
-                    # K^alpha(B): the faces F with x^(alpha - F) in B
-                    b_faces = [F for level in _block_oracle.block_levels(alpha, b_exps, []).values()
-                               for F in level]
-                    if b_faces and not _is_cone(b_faces):
-                        seen.add("non-cone B-complex")
-                        break
+            modules.append((A, B))
+    # boxes whose top fills a packed field (7, 15, 63) or opens a wider one (8, 16, 64)
+    for k, edge in enumerate((7, 8, 15, 16, 63, 64) * 2):
+        r = ring(*"xyzw"[:2 + k % 3])
+        B = random_ideal(rnd, r, max_exp=edge) + ideal(r, [r.monomial((edge,) + (0,) * (r.nvars - 1))])
+        A = unit_ideal(r) if k % 2 else B + random_ideal(rnd, r, max_exp=edge)
+        modules.append((A, B))
+    seen = set()
+    cases = 0
+    for A, B in modules:
+        a_exps = [g.exponents for g in A.gens]
+        b_exps = [g.exponents for g in B.gens]
+        oracle = {} if A == B else _block_oracle.betti_entries(a_exps, b_exps)
+        assert betti_table(Subquotient(A, B)).entries == oracle, (A, B)
+        cases += 1
+        if not B.gens:
+            seen.add("zero denominator")
+        if A == unit_ideal(A.ring):
+            seen.add("unit numerator")
+        if max(A.lcm_exponents() + B.lcm_exponents()) in (7, 8, 15, 16, 63, 64):
+            seen.add("box top on a field edge")
+        if "non-cone B-complex" not in seen:
+            for alpha in _block_oracle.lcm_closure_by_frontier(a_exps + b_exps):
+                # K^alpha(B): the faces F with x^(alpha - F) in B
+                b_faces = [F for level in _block_oracle.block_levels(alpha, b_exps, []).values()
+                           for F in level]
+                if b_faces and not _is_cone(b_faces):
+                    seen.add("non-cone B-complex")
+                    break
     assert cases >= 500
-    assert seen == {"zero denominator", "unit numerator", "non-cone B-complex"}
+    assert seen == {"zero denominator", "unit numerator", "non-cone B-complex", "box top on a field edge"}
 
 
 def test_integer_rank_matches_rational_rank():

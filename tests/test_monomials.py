@@ -1,4 +1,5 @@
 """Monomial and monomial-ideal arithmetic, checked against brute-force membership oracles."""
+import itertools
 import pickle
 import random
 
@@ -18,7 +19,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.monomials import NEG_INF, _lcm_closure, _socle_top
+from regpow.monomials import NEG_INF, _layout, _lcm_closure, _minimal, _pack, _socle_top
 
 import _block_oracle
 from conftest import (
@@ -152,6 +153,22 @@ def test_minimal_drops_candidates_divided_by_lower_degree_levels():
     assert [str(g) for g in got.gens] == ["z^3", "y^2", "x"]
 
 
+def test_minimal_with_inert_tuples_as_in_a_pivot_split():
+    """In J : x_i^k the unchanged generators (g_i = 0) need not serve as divisors."""
+    rnd = random.Random(79)
+    dropped = 0
+    for case in range(400):
+        nv = 2 + case % 4
+        gens = _minimal([tuple(rnd.randint(0, 4) for _ in range(nv)) for _ in range(rnd.randint(1, 12))])
+        i, k = rnd.randrange(nv), rnd.randint(1, 4)
+        lowered = [g[:i] + (0,) + g[i + 1:] for g in gens if 0 < g[i] <= k]
+        inert = frozenset(g for g in gens if not g[i])
+        got = _minimal(lowered, inert=inert)
+        assert got == _minimal(lowered + list(inert)), (gens, i, k)
+        dropped += len(inert - set(got))
+    assert dropped > 50  # lowered generators do divide unchanged ones
+
+
 # ------------------------------------------------------------- arithmetic
 
 
@@ -161,14 +178,33 @@ def test_maximal_ideal_is_the_ideal_of_the_variables():
         assert r.maximal_ideal() == ideal(r, [r.var(v) for v in r.variables])
 
 
+def _packed_closure(gens, nv: int, top: int) -> set:
+    """`_lcm_closure` of gens packed in `_layout(nv, top)`, unpacked to exponent tuples."""
+    shifts, guards = _layout(nv, top)
+    value_bits = (1 << top.bit_length()) - 1
+    closure = _lcm_closure([_pack(g, shifts) for g in gens], guards)
+    return {tuple((p >> s) & value_bits for s in shifts) for p in closure}
+
+
 def test_lcm_closure_matches_frontier_oracle():
+    """The packed closure against the tuple frontier, with exponents on the field-width edges."""
     rnd = random.Random(73)
-    for case in range(300):
-        nv = 1 + case % 6
-        gens = [tuple(rnd.randint(0, 3) for _ in range(nv)) for _ in range(rnd.randint(1, 7))]
-        if case % 3 == 0:
+    seen = set()
+    for case in range(640):
+        nv = 1 + case % 8
+        cap = (3, 7, 8, 15, 16, 63, 64, 200)[case // 8 % 8]
+        ngens = case // 64 % 8  # 0 to 7 generators
+        gens = [tuple(rnd.choice((0, 1, cap - 1, cap, rnd.randint(0, cap))) for _ in range(nv))
+                for _ in range(ngens)]
+        if gens and case % 3 == 0:
             gens.append(rnd.choice(gens))  # a repeated generator
-        assert _lcm_closure(gens) == _block_oracle.lcm_closure_by_frontier(gens), gens
+        # the layout top: the largest exponent (at least 1), or the cap
+        top = max(itertools.chain((1,), *gens)) if case % 2 else cap
+        assert _packed_closure(gens, nv, top) == _block_oracle.lcm_closure_by_frontier(gens), (gens, top)
+        seen.add(min(len(set(gens)), 2))
+        if any(top in g for g in gens):
+            seen.add(f"top {top}")
+    assert seen >= {0, 1, 2} | {f"top {t}" for t in (7, 8, 15, 16, 63, 64, 200)}
 
 
 def test_power_of_maximal_ideal():
