@@ -9,7 +9,6 @@ Useful for hunting fluctuating or negative defect sequences by hand.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from regpow import (
     Monomial,
@@ -21,22 +20,17 @@ from regpow import (
     serialize,
     zero_ideal,
 )
+from regpow.regfun import FUNCTION_NAMES
 
 
-@dataclass(frozen=True)
-class ExplorerConfig:
-    seed: int
-    count: int
-    n_to: int
-    function: str
-    max_vars: int = 4
-    max_degree: int = 4
+MAX_VARS = 4
+MAX_DEGREE = 4
 
 
-def random_presented(rnd: random.Random, config: ExplorerConfig) -> PresentedIdeal | None:
-    nvars = rnd.randint(2, config.max_vars)
+def random_presented(rnd: random.Random) -> PresentedIdeal | None:
+    nvars = rnd.randint(2, MAX_VARS)
     ring = RingSpec(tuple(f"x{i}" for i in range(nvars)))
-    d = rnd.randint(1, config.max_degree)
+    d = rnd.randint(1, MAX_DEGREE)
 
     def monomial_of_degree(degree: int) -> Monomial:
         exps = [0] * nvars
@@ -49,7 +43,7 @@ def random_presented(rnd: random.Random, config: ExplorerConfig) -> PresentedIde
     if rnd.random() < 0.5:
         quot = ideal(
             ring,
-            [monomial_of_degree(rnd.randint(1, config.max_degree))
+            [monomial_of_degree(rnd.randint(1, MAX_DEGREE))
              for _ in range(rnd.randint(1, 2))],
         )
     try:
@@ -64,27 +58,23 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=10)
     parser.add_argument("--to", type=int, default=4)
-    parser.add_argument(
-        "--fn", default="reg_quotient",
-        choices=("reg_power", "reg_quotient", "reg_diff", "sdeg", "gen_degree"),
-    )
+    parser.add_argument("--fn", default="reg_quotient", choices=FUNCTION_NAMES)
     args = parser.parse_args()
-    config = ExplorerConfig(args.seed, args.count, args.to, args.fn)
 
-    rnd = random.Random(config.seed)
+    rnd = random.Random(args.seed)
     produced = 0
-    while produced < config.count:
-        presented = random_presented(rnd, config)
+    while produced < args.count:
+        presented = random_presented(rnd)
         if presented is None:
             continue
         try:
-            report = defect_report(presented, config.function, 1, config.n_to)
+            report = defect_report(presented, args.fn, 1, args.to)
         except StandingHypothesisError:
             continue
         produced += 1
         print(serialize(presented).strip().replace("\n", " | "))
         print(
-            f"  {config.function}: values={report.values} defects={report.defects} "
+            f"  {args.fn}: values={report.values} defects={report.defects} "
             f"stable_suffix={report.stable_suffix_length}"
         )
     return 0

@@ -8,42 +8,37 @@ Exits nonzero if any engine value disagrees with its closed form.
 """
 import argparse
 import sys
-from dataclasses import dataclass
 
 from regpow import FamilySpec, verify
 from regpow.families import supported_predictions
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    n_to: int
-    specs: tuple = (
-        FamilySpec("one_dim", d=1, c=(3, 1)),
-        FamilySpec("one_dim", d=2, c=(5, 2, 1)),
-        FamilySpec("one_dim", d=3, c=(4, 3, 1)),
-        FamilySpec("dim1", d=1, c=(4, 2, 1)),
-        FamilySpec("dim1b", d=2, c=(4, 2, 1)),
-        FamilySpec("ubiquity3", d=2, e=(4, 2, 0)),
-        FamilySpec("ubiquity3", d=3, e=(9, 5, 2, 2)),
-        FamilySpec("ehl", r=2),
-        FamilySpec("ehl", r=3),
-    )
+SPECS = (
+    FamilySpec("one_dim", d=1, c=(3, 1)),
+    FamilySpec("one_dim", d=2, c=(5, 2, 1)),
+    FamilySpec("one_dim", d=3, c=(4, 3, 1)),
+    FamilySpec("dim1", d=1, c=(4, 2, 1)),
+    FamilySpec("dim1b", d=2, c=(4, 2, 1)),
+    FamilySpec("ubiquity3", d=2, e=(4, 2, 0)),
+    FamilySpec("ubiquity3", d=3, e=(9, 5, 2, 2)),
+    FamilySpec("ehl", r=2),
+    FamilySpec("ehl", r=3),
+)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--to", type=int, default=5, help="largest power (default 5)")
-    config = SweepConfig(n_to=parser.parse_args().to)
+    n_to = parser.parse_args().to
 
     status = 0
     print("family,params,function,n,engine,predicted,flag")
-    for spec in config.specs:
+    for spec in SPECS:
         params = ",".join(
             f"{k}={v}" for k, v in (("d", spec.d), ("c", spec.c), ("e", spec.e),
                                     ("r", spec.r), ("t", spec.t)) if v is not None
         )
         for fn in supported_predictions(spec):
-            report = verify(spec, fn, 1, config.n_to)
+            report = verify(spec, fn, 1, n_to)
             for row in report.rows:
                 flag = "ok" if row.ok else "MISMATCH"
                 print(f"{spec.family},{params!r},{fn},{row.n},{row.engine},{row.predicted},{flag}")

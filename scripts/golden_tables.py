@@ -2,10 +2,11 @@
 """Recompute the two four-variable benchmark tables and print them as CSV.
 
 Usage:
-    python3 scripts/golden_tables.py [--to N] [--cache PATH]
+    python3 scripts/golden_tables.py [--to N]
+
+Set REGPOW_CACHE=path to keep the Betti tables in an on-disk cache.
 """
 import argparse
-import os
 import sys
 import time
 
@@ -15,10 +16,7 @@ from regpow import FamilySpec, build, defect_report
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--to", type=int, default=5, help="largest power (default 5)")
-    parser.add_argument("--cache", help="optional Betti cache file (REGPOW_CACHE)")
     args = parser.parse_args()
-    if args.cache:
-        os.environ["REGPOW_CACHE"] = args.cache
 
     jobs = [
         ("m2_reg", "reg_power"),

@@ -15,9 +15,7 @@ from .monomials import (
 from .modules import (
     NEG_INF,
     Subquotient,
-    a0,
     basis,
-    h0,
     hilbert,
     ideal_module,
     is_artinian,

@@ -97,10 +97,6 @@ class BettiTable:
             return NEG_INF
         return max(j - i for (i, j) in self.entries)
 
-    def max_degree_at(self, i: int):
-        degs = [j for (k, j) in self.entries if k == i]
-        return max(degs) if degs else NEG_INF
-
 
 @dataclass(frozen=True)
 class KoszulPiece:

@@ -10,7 +10,7 @@ import json
 import sys
 
 from .betti import betti_table
-from .families import FamilySpec, NoClosedFormError, build, predict, supported_predictions, verify
+from .families import FamilySpec, NoClosedFormError, build, supported_predictions, verify
 from .modules import NEG_INF
 from .regfun import InputError, StandingHypothesisError, defect_report
 from .specfile import ParseError, parse_spec, serialize
@@ -93,16 +93,6 @@ def _cmd_compute(args, out):
     return EXIT_OK
 
 
-def _cmd_defects(args, out):
-    presented = _load_spec(args.input)
-    report = defect_report(presented, _FN_BY_FLAG[args.fn], 1, args.n_to)
-    if args.format == "json":
-        _emit_json(report, out)
-    else:
-        _emit_csv(report, out)
-    return EXIT_OK
-
-
 def _cmd_construct(args, out):
     spec = _family_spec(args)
     presented = build(spec)
@@ -169,37 +159,33 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("compute", help="values and defects of one power function")
-    p.add_argument("--input", required=True)
-    add_fn(p)
-    add_range(p)
-    add_format(p)
-    p.set_defaults(handler=_cmd_compute)
+    def add_family(p):
+        p.add_argument("--family", required=True)
+        p.add_argument("--d", type=int)
+        p.add_argument("--c")
+        p.add_argument("--e")
+        p.add_argument("--r", type=int)
+        p.add_argument("--t", type=int)
 
-    p = sub.add_parser("defects", help="defect sequence from n = 1")
-    p.add_argument("--input", required=True)
-    add_fn(p)
-    add_range(p, with_from=False)
-    add_format(p)
-    p.set_defaults(handler=_cmd_defects)
+    # `defects` is `compute` without --from: its window starts at n = 1.
+    for name, help_text, with_from in (
+        ("compute", "values and defects of one power function", True),
+        ("defects", "defect sequence from n = 1", False),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True)
+        add_fn(p)
+        add_range(p, with_from)
+        add_format(p)
+        p.set_defaults(handler=_cmd_compute, n_from=1)
 
     p = sub.add_parser("construct", help="materialize a built-in family instance")
-    p.add_argument("--family", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--c")
-    p.add_argument("--e")
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int)
+    add_family(p)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="engine values against family closed forms")
-    p.add_argument("--family", required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--c")
-    p.add_argument("--e")
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int)
+    add_family(p)
     add_fn(p, required=False)
     add_range(p)
     p.set_defaults(handler=_cmd_verify)

@@ -7,21 +7,11 @@ engine can be verified instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .betti import deferred_cache_writes
-from .monomials import Monomial, RingSpec, ideal, zero_ideal
-from .regfun import InputError, PresentedIdeal
-
-FAMILY_NAMES = (
-    "one_dim",
-    "dim1",
-    "dim1b",
-    "ubiquity3",
-    "ehl",
-    "cycle",
-    "m2_reg",
-    "m2_sdeg",
-)
+from .monomials import RingSpec, ideal, zero_ideal
+from .regfun import FUNCTION_NAMES, InputError, PresentedIdeal
 
 
 class NoClosedFormError(InputError):
@@ -86,10 +76,8 @@ def _build_one_dim(spec: FamilySpec) -> PresentedIdeal:
     c = _check_c(spec, weakly_decreasing=True)
     d, m = spec.d, len(c) - 1
     ring = RingSpec(("x", "y"))
-    x = lambda k: Monomial(ring, (k, 0))
-    y = lambda k: Monomial(ring, (0, k))
-    quot = ideal(ring, [x(c[0])] + [x(c[i]) * y(d * i) for i in range(1, m + 1)])
-    lift = ideal(ring, [y(d)])
+    quot = ideal(ring, [f"x^{c[0]}"] + [f"x^{c[i]}*y^{d * i}" for i in range(1, m + 1)])
+    lift = ideal(ring, [f"y^{d}"])
     return PresentedIdeal(quot, lift)
 
 
@@ -100,30 +88,17 @@ def _build_dim1(spec: FamilySpec, extra_gen: bool) -> PresentedIdeal:
         raise InputError("this family needs a non-constant c (at least one strict step)")
     names = ("x1", "x2") + tuple(f"y{i}" for i in range(1, m + 1))
     ring = RingSpec(names)
-    x1, x2 = ring.var("x1"), ring.var("x2")
-    ys = [ring.var(f"y{i}") for i in range(1, m + 1)]
-    P = ideal(ring, ys)
-    Pd = P.power(d)
-
-    def xpow(v, k):
-        exps = [0] * ring.nvars
-        exps[ring.variables.index(v)] = k
-        return Monomial(ring, tuple(exps))
-
-    def ypow(i, k):
-        exps = [0] * ring.nvars
-        exps[2 + (i - 1)] = k
-        return Monomial(ring, tuple(exps))
-
-    gens = [xpow("x1", c[0])]
+    x1 = ring.var("x1")
+    Pd = ideal(ring, [ring.var(f"y{i}") for i in range(1, m + 1)]).power(d)
+    gens = [ring.parse_monomial(f"x1^{c[0]}")]
     if extra_gen:
-        gens.append(x1 * x2)
+        gens.append(x1 * ring.var("x2"))
     gens += [x1 * g for g in Pd.gens]
     for i in range(1, m):
-        yi = ypow(i, d * i)
-        gens.append(xpow("x2", c[i]) * yi)
+        yi = ring.parse_monomial(f"y{i}^{d * i}")
+        gens.append(ring.parse_monomial(f"x2^{c[i]}") * yi)
         gens += [g * yi for g in Pd.gens]
-    gens.append(xpow("x2", c[m]) * ypow(m, d * m))
+    gens.append(ring.parse_monomial(f"x2^{c[m]}*y{m}^{d * m}"))
     quot = ideal(ring, gens)
     return PresentedIdeal(quot, Pd)
 
@@ -194,32 +169,29 @@ def _build_m2(ring_gens, quot_strs, lift_strs) -> PresentedIdeal:
     return PresentedIdeal(ideal(ring, quot_strs), ideal(ring, lift_strs))
 
 
+_BUILDERS = {
+    "one_dim": _build_one_dim,
+    "dim1": partial(_build_dim1, extra_gen=False),
+    "dim1b": partial(_build_dim1, extra_gen=True),
+    "ubiquity3": _build_ubiquity3,
+    "ehl": _build_ehl,
+    "cycle": _build_cycle,
+    "m2_reg": lambda spec: _build_m2(
+        ("x", "y", "u", "v"),
+        ["x^7", "x^4*y^3", "x^3*y^4", "y^7", "x*u^6", "y*u^6", "u^6*v"],
+        ["x*y*v", "u^3"],
+    ),
+    "m2_sdeg": lambda spec: _build_m2(
+        ("x", "y", "u", "v"),
+        ["x^6", "x^3*y^3", "y^6", "x*u^5", "y*u^5", "u^5*v"],
+        ["x*y*v^4", "u^6"],
+    ),
+}
+FAMILY_NAMES = tuple(_BUILDERS)
+
+
 def build(spec: FamilySpec) -> PresentedIdeal:
-    if spec.family == "one_dim":
-        return _build_one_dim(spec)
-    if spec.family == "dim1":
-        return _build_dim1(spec, extra_gen=False)
-    if spec.family == "dim1b":
-        return _build_dim1(spec, extra_gen=True)
-    if spec.family == "ubiquity3":
-        return _build_ubiquity3(spec)
-    if spec.family == "ehl":
-        return _build_ehl(spec)
-    if spec.family == "cycle":
-        return _build_cycle(spec)
-    if spec.family == "m2_reg":
-        return _build_m2(
-            ("x", "y", "u", "v"),
-            ["x^7", "x^4*y^3", "x^3*y^4", "y^7", "x*u^6", "y*u^6", "u^6*v"],
-            ["x*y*v", "u^3"],
-        )
-    if spec.family == "m2_sdeg":
-        return _build_m2(
-            ("x", "y", "u", "v"),
-            ["x^6", "x^3*y^3", "y^6", "x*u^5", "y*u^5", "u^5*v"],
-            ["x*y*v^4", "u^6"],
-        )
-    raise InputError(f"unknown family {spec.family!r}")
+    return _BUILDERS[spec.family](spec)
 
 
 def _two_branch_quotient(d: int, c: tuple):
@@ -311,7 +283,7 @@ def verify(spec: FamilySpec, function: str, n_from: int, n_to: int) -> VerifyRep
 def supported_predictions(spec: FamilySpec) -> tuple:
     """Function names for which this family instance has a closed form."""
     out = []
-    for name in ("reg_power", "reg_quotient", "reg_diff", "sdeg"):
+    for name in FUNCTION_NAMES:
         try:
             predict(spec, name)
         except NoClosedFormError:

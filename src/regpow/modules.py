@@ -1,4 +1,4 @@
-"""Monomial subquotient modules A/B, Hilbert functions, Artinian tests, top degree, H^0_m.
+"""Monomial subquotient modules A/B, Hilbert functions, Artinian tests, top degree.
 
 The degree -infinity of the zero module is `NEG_INF`; it is absorbing
 under max and addition, so it can flow through all degree arithmetic.
@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomials import NEG_INF, MonomialIdeal, Monomial, RingMismatchError
+from .monomials import NEG_INF, MonomialIdeal, RingMismatchError, unit_ideal, zero_ideal
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,11 @@ class Subquotient:
 
 def quotient_ring(modulus: MonomialIdeal) -> Subquotient:
     """S/B as a subquotient (numerator the unit ideal)."""
-    from .monomials import unit_ideal
-
     return Subquotient(unit_ideal(modulus.ring), modulus)
 
 
 def ideal_module(numerator: MonomialIdeal) -> Subquotient:
     """An ideal viewed as a submodule of S."""
-    from .monomials import zero_ideal
-
     return Subquotient(numerator, zero_ideal(numerator.ring))
 
 
@@ -113,14 +109,3 @@ def top_degree(module: Subquotient):
         elif a >= gen_bound:
             return best
         a += 1
-
-
-def h0(module: Subquotient) -> Subquotient:
-    """The degreewise-finite submodule supported at the maximal ideal: (A ∩ sat(B))/B."""
-    sat = module.denominator.saturate()
-    return Subquotient(module.numerator.intersect(sat), module.denominator)
-
-
-def a0(module: Subquotient):
-    """Top degree of h0(module)."""
-    return top_degree(h0(module))

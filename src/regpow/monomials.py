@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from operator import add, le, lshift
 
@@ -282,6 +283,14 @@ class _once:
         return value
 
 
+def _check_variable(name) -> None:
+    """Reject `1` and names with `*`, `^`, `#` or whitespace: monomial strings cannot write them."""
+    if not isinstance(name, str) or not name:
+        raise ValueError("variable names must be nonempty strings")
+    if name == "1" or re.search(r"[*^#\s]", name):
+        raise ValueError(f"variable name {name!r} cannot be written in a monomial")
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Polynomial ring k[x_1,...,x_r] over the rationals with the standard grading."""
@@ -292,8 +301,8 @@ class RingSpec:
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) < 1:
             raise ValueError("a ring needs at least one variable")
-        if any(not isinstance(v, str) or not v for v in self.variables):
-            raise ValueError("variable names must be nonempty strings")
+        for v in self.variables:
+            _check_variable(v)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "nvars", len(self.variables))

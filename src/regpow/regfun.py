@@ -24,9 +24,7 @@ class StandingHypothesisError(ValueError):
     """The input violates a standing hypothesis (I = 0, I the unit ideal, or I^n = 0)."""
 
 
-FUNCTION_NAMES = ("reg_power", "reg_quotient", "reg_diff", "sdeg", "gen_degree")
-
-# Offset o such that the defect of function value v at power n is v - d*n + o.
+# Each power function, with the offset o such that the defect of its value v at power n is v - d*n + o.
 _DEFECT_OFFSET = {
     "reg_power": 0,
     "reg_quotient": 1,
@@ -34,6 +32,10 @@ _DEFECT_OFFSET = {
     "sdeg": 0,
     "gen_degree": 0,
 }
+FUNCTION_NAMES = tuple(_DEFECT_OFFSET)
+
+# A window has stabilized once this many trailing values grow by the slope.
+_STABILITY_K = 3
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,9 @@ class PresentedIdeal:
         and a branch is cut when its offset's degree plus sum_j (lcm_j - 1), a bound
         because each u_j is some g_j - 1, cannot beat the best degree found.  The
         proofs are in `_socle_top`.
+
+        Since H^0_m(S/J) = sat(J)/J, its top degree a_0(S/J) = a_0(R/I^n) is
+        sdeg(n) - 1 (NEG_INF when J is saturated).
         """
         power_n = self._power(n)
         return _socle_top(power_n._exps, self.ring.nvars) + 1
@@ -183,18 +188,10 @@ def _stable_suffix(values, slope) -> int:
     return length
 
 
-def defect_report(
-    presented: PresentedIdeal,
-    function: str,
-    n_from: int,
-    n_to: int,
-    stability_k: int = 3,
-) -> DefectReport:
-    if function not in FUNCTION_NAMES:
-        raise InputError(f"unknown function {function!r}")
+def defect_report(presented: PresentedIdeal, function: str, n_from: int, n_to: int) -> DefectReport:
+    fn = presented.function(function)
     if n_from < 1 or n_to < n_from:
         raise InputError("empty or invalid power range")
-    fn = getattr(presented, function)
     with deferred_cache_writes():  # one disk-cache write per report, not one per value
         values = [fn(n) for n in range(n_from, n_to + 1)]
     if presented.equigenerated:
@@ -216,5 +213,5 @@ def defect_report(
         values=values,
         defects=defects,
         stable_suffix_length=suffix,
-        stabilized_in_window=suffix >= stability_k,
+        stabilized_in_window=suffix >= _STABILITY_K,
     )

@@ -1,12 +1,16 @@
 """Line-oriented ideal-spec files: `ring <name>+`, optional `quot <monomial>+`, `ideal <monomial>+`.
 
-`#` starts a comment; monomials use the `var^k*...` syntax.  Serialized
+`#` starts a comment; monomials use the `var^k*...` syntax.  A variable
+name is any run of non-space characters other than `1` that has no `*`,
+`^` or `#`, so that every monomial can be written back.  Serialized
 output is canonical: minimal generators in sorted order, one space
 between tokens, so serialize(parse(serialize(X))) == serialize(X).
 """
 from __future__ import annotations
 
-from .monomials import MonomialSyntaxError, RingSpec, ideal, parse_monomial, zero_ideal
+import re
+
+from .monomials import MonomialSyntaxError, RingSpec, _check_variable, ideal, parse_monomial, zero_ideal
 from .regfun import PresentedIdeal
 
 
@@ -18,28 +22,15 @@ class ParseError(ValueError):
         self.reason = message
 
 
-def _tokenize(raw: str, lineno: int):
-    """(token, column) pairs of one line, with the trailing comment stripped."""
-    if "#" in raw:
-        raw = raw[: raw.index("#")]
-    tokens = []
-    col = 0
-    while col < len(raw):
-        if raw[col].isspace():
-            col += 1
-            continue
-        end = col
-        while end < len(raw) and not raw[end].isspace():
-            end += 1
-        tokens.append((raw[col:end], col + 1))
-        col = end
-    return tokens
+def _tokenize(raw: str):
+    """(token, 1-based column) pairs of one line, with the trailing comment stripped."""
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw.partition("#")[0])]
 
 
 def parse_spec(text: str) -> PresentedIdeal:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
+        tokens = _tokenize(raw)
         if tokens:
             lines.append((lineno, tokens))
     if not lines:
@@ -61,6 +52,11 @@ def parse_spec(text: str) -> PresentedIdeal:
     names = [tok for tok, _ in name_tokens]
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name", lineno, name_tokens[0][1])
+    for tok, col in name_tokens:
+        try:
+            _check_variable(tok)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, col) from exc
     ring = RingSpec(tuple(names))
 
     def parse_gens(lineno, tokens):

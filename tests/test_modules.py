@@ -1,4 +1,4 @@
-"""Subquotient modules: Hilbert functions, Artinian detection, top degree, H^0."""
+"""Subquotient modules: Hilbert functions, Artinian detection, top degree."""
 import random
 
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from regpow import (
     NEG_INF,
     Subquotient,
-    a0,
     basis,
-    h0,
     hilbert,
     ideal,
     ideal_module,
@@ -110,31 +108,6 @@ def test_top_degree_of_successive_power_quotient():
     Q = ideal(r, ["x^3", "x*y^2"])
     M = Subquotient(unit_ideal(r), ideal(r, ["y^2"]) + Q)
     assert top_degree(M) == 3
-
-
-def test_h0_examples():
-    r = ring("x", "y")
-    M = quotient_ring(ideal(r, ["x^2", "x*y"]))
-    H = h0(M)
-    assert H.numerator == ideal(r, ["x"])
-    assert top_degree(H) == 1
-    assert h0(quotient_ring(ideal(r, ["x"]))).is_zero()
-    # m-primary denominator: H^0 is the whole module
-    J = ideal(r, ["x^3", "y^2"])
-    assert a0(quotient_ring(J)) == top_degree(quotient_ring(J))
-
-
-def test_h0_is_degreewise_submodule():
-    rnd = random.Random(5)
-    r = ring("x", "y", "z")
-    for _ in range(15):
-        B = random_ideal(rnd, r)
-        A = B + random_ideal(rnd, r)
-        M = Subquotient(A, B)
-        H = h0(M)
-        assert is_artinian(H)
-        for a in range(6):
-            assert hilbert(H, a) <= hilbert(M, a)
 
 
 def test_artinian_top_degree_bounded_by_denominator_lcm():

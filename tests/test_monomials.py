@@ -46,6 +46,10 @@ def test_ring_spec_validation():
         RingSpec(("x", "x"))
     with pytest.raises(ValueError):
         RingSpec(("x", ""))
+    # names a monomial string cannot write back
+    for name in ("1", "y^2", "a*b", "x#1", "a b", "\tx"):
+        with pytest.raises(ValueError):
+            RingSpec(("x", name))
 
 
 def test_monomial_validation():

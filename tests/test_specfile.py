@@ -93,3 +93,15 @@ def test_round_trip_is_byte_identical():
 def test_parse_normalizes_to_minimal_generators():
     X = parse_spec("ring x y\nideal x x*y x^2\n")
     assert X.lift == ideal(X.ring, ["x"])
+
+
+@pytest.mark.parametrize(
+    "names, column",
+    [("1 x", 6), ("x y^2", 8), ("a*b x", 6), ("x 1", 8)],
+)
+def test_ring_rejects_names_a_monomial_cannot_write(names, column):
+    """`1`, or a name with `*` or `^`, would serialize to a different ideal (or none)."""
+    err = _parse_error(f"ring {names}\nquot x^2\nideal x\n")
+    assert (err.line, err.column) == (1, column)
+    assert "variable name" in err.reason
+
