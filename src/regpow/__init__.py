@@ -24,11 +24,9 @@ from .modules import (
 )
 from .betti import (
     BettiTable,
-    KoszulPiece,
     betti,
     betti_bidegree,
     betti_table,
-    koszul_piece,
     regularity,
 )
 from .regfun import (
@@ -41,7 +39,6 @@ from .regfun import (
 from .families import (
     FamilySpec,
     NoClosedFormError,
-    Prediction,
     VerifyReport,
     build,
     predict,

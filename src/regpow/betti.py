@@ -43,9 +43,9 @@ so the box degree plus r still bounds every degree j with a nonzero Betti
 number.  `search_bound` keeps that box value rather than the lattice's top
 degree: `regpow betti --format json` prints it and the disk cache stores
 it, and it depends only on the generators' lcms, not on which lattice
-points carry homology.  A full bidegree-matrix path (`koszul_piece`,
-`betti_bidegree`), ranked by rational Gaussian elimination, is kept as an
-independent cross-check.
+points carry homology.  `betti_bidegree`, rank-nullity on the full
+bidegree matrices of K ⊗ A/B ranked by rational Gaussian elimination, is
+kept as an independent cross-check.
 
 The disk cache (`REGPOW_CACHE`, or `cache_path=`) is a pure accelerator.
 Its file is one JSON object mapping a key to {"search_bound", "entries"};
@@ -98,49 +98,33 @@ class BettiTable:
         return max(j - i for (i, j) in self.entries)
 
 
-@dataclass(frozen=True)
-class KoszulPiece:
-    """One bidegree (i, j) of K ⊗ M: its basis and the boundary matrix to (i-1, j).
+def _koszul_rows(module: Subquotient, i: int, j: int) -> list:
+    """The boundary of K ⊗ M from bidegree (i, j) to (i-1, j), as dense 0/±1 rows.
 
-    Basis elements are pairs (F, m) with F a sorted tuple of variable
-    indices, |F| = i, and m a degree j-i monomial of the module.  The
-    boundary is a sparse column map: columns[c] lists (row, coefficient)
-    pairs against the basis of the (i-1, j) piece.
+    A basis pair (F, m) is a sorted tuple F of i variable indices and a
+    degree j-i basis monomial m of the module; there is one row per pair of
+    bidegree (i, j) and one column per pair of bidegree (i-1, j).  Removing
+    the k-th index v of F sends (F, m) to (-1)^k (F - v, m·x_v), which is
+    zero when m·x_v lies in the denominator.
     """
-
-    i: int
-    j: int
-    domain_basis: tuple
-    codomain_basis: tuple
-    columns: tuple
-
-
-def _piece_basis(module: Subquotient, i: int, j: int) -> tuple:
     nv = module.ring.nvars
-    if i < 0 or i > nv:
-        return ()
-    mons = basis(module, j - i)
-    return tuple(
-        (F, m) for F in itertools.combinations(range(nv), i) for m in mons
-    )
 
+    def pairs(i):
+        if not 0 <= i <= nv:
+            return []
+        mons = basis(module, j - i)
+        return [(F, m) for F in itertools.combinations(range(nv), i) for m in mons]
 
-def koszul_piece(module: Subquotient, i: int, j: int) -> KoszulPiece:
-    domain = _piece_basis(module, i, j)
-    codomain = _piece_basis(module, i - 1, j)
-    index = {key: row for row, key in enumerate(codomain)}
-    A, B = module.numerator, module.denominator
-    columns = []
-    for F, m in domain:
-        col = []
+    index = {pair: c for c, pair in enumerate(pairs(i - 1))}
+    rows = []
+    for F, m in pairs(i):
+        row = [0] * len(index)
         for k, v in enumerate(F):
             target = m.times_var(v)
-            if B.contains(target):
-                continue
-            G = F[:k] + F[k + 1 :]
-            col.append((index[(G, target)], (-1) ** k))
-        columns.append(tuple(col))
-    return KoszulPiece(i, j, domain, codomain, tuple(columns))
+            if not module.denominator.contains(target):
+                row[index[(F[:k] + F[k + 1 :], target)]] = (-1) ** k
+        rows.append(row)
+    return rows
 
 
 def _rank_dense(rows) -> int:
@@ -174,22 +158,10 @@ def _rank_dense(rows) -> int:
     return rank
 
 
-def rank_of_piece(piece: KoszulPiece) -> int:
-    """Rank of the sparse boundary matrix of a Koszul piece."""
-    nrows = len(piece.codomain_basis)
-    rows = [[0] * len(piece.domain_basis) for _ in range(nrows)]
-    for c, col in enumerate(piece.columns):
-        for r, coeff in col:
-            rows[r][c] = coeff
-    return _rank_dense(rows)
-
-
 def betti_bidegree(module: Subquotient, i: int, j: int) -> int:
     """beta_{i,j} by rank-nullity on full bidegree matrices (cross-check path)."""
-    here = koszul_piece(module, i, j)
-    above = koszul_piece(module, i + 1, j)
-    dim = len(here.domain_basis)
-    return dim - rank_of_piece(here) - rank_of_piece(above)
+    here = _koszul_rows(module, i, j)
+    return len(here) - _rank_dense(here) - _rank_dense(_koszul_rows(module, i + 1, j))
 
 
 def _rank_int(rows) -> int:

@@ -211,7 +211,7 @@ def main(argv=None, out=None) -> int:
     except StandingHypothesisError as exc:
         print(f"input violates standing hypotheses: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (InputError, NoClosedFormError, OSError) as exc:
+    except (InputError, NoClosedFormError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -6,11 +6,11 @@ engine can be verified instance by instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 from .betti import deferred_cache_writes
-from .monomials import RingSpec, ideal, zero_ideal
+from .monomials import RingSpec, ideal, parse_monomial, zero_ideal
 from .regfun import FUNCTION_NAMES, InputError, PresentedIdeal
 
 
@@ -30,21 +30,14 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise InputError(f"unknown family {self.family!r}")
+        takes = _BUILDERS[self.family][0]
+        for field in fields(self)[1:]:
+            if getattr(self, field.name) is not None and field.name not in takes:
+                raise InputError(f"family {self.family!r} does not take parameter {field.name}")
         if self.c is not None:
             object.__setattr__(self, "c", tuple(self.c))
         if self.e is not None:
             object.__setattr__(self, "e", tuple(self.e))
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Closed-form evaluator n -> value for one power function of a family instance."""
-
-    function: str
-    evaluate: object  # callable int -> int
-
-    def __call__(self, n: int) -> int:
-        return self.evaluate(n)
 
 
 def trim_constant_tail(c) -> tuple:
@@ -90,15 +83,15 @@ def _build_dim1(spec: FamilySpec, extra_gen: bool) -> PresentedIdeal:
     ring = RingSpec(names)
     x1 = ring.var("x1")
     Pd = ideal(ring, [ring.var(f"y{i}") for i in range(1, m + 1)]).power(d)
-    gens = [ring.parse_monomial(f"x1^{c[0]}")]
+    gens = [parse_monomial(ring, f"x1^{c[0]}")]
     if extra_gen:
         gens.append(x1 * ring.var("x2"))
     gens += [x1 * g for g in Pd.gens]
     for i in range(1, m):
-        yi = ring.parse_monomial(f"y{i}^{d * i}")
-        gens.append(ring.parse_monomial(f"x2^{c[i]}") * yi)
+        yi = parse_monomial(ring, f"y{i}^{d * i}")
+        gens.append(parse_monomial(ring, f"x2^{c[i]}") * yi)
         gens += [g * yi for g in Pd.gens]
-    gens.append(ring.parse_monomial(f"x2^{c[m]}*y{m}^{d * m}"))
+    gens.append(parse_monomial(ring, f"x2^{c[m]}*y{m}^{d * m}"))
     quot = ideal(ring, gens)
     return PresentedIdeal(quot, Pd)
 
@@ -169,29 +162,30 @@ def _build_m2(ring_gens, quot_strs, lift_strs) -> PresentedIdeal:
     return PresentedIdeal(ideal(ring, quot_strs), ideal(ring, lift_strs))
 
 
+# family -> (the FamilySpec parameters it takes, its builder)
 _BUILDERS = {
-    "one_dim": _build_one_dim,
-    "dim1": partial(_build_dim1, extra_gen=False),
-    "dim1b": partial(_build_dim1, extra_gen=True),
-    "ubiquity3": _build_ubiquity3,
-    "ehl": _build_ehl,
-    "cycle": _build_cycle,
-    "m2_reg": lambda spec: _build_m2(
+    "one_dim": (("d", "c"), _build_one_dim),
+    "dim1": (("d", "c"), partial(_build_dim1, extra_gen=False)),
+    "dim1b": (("d", "c"), partial(_build_dim1, extra_gen=True)),
+    "ubiquity3": (("d", "e"), _build_ubiquity3),
+    "ehl": (("r",), _build_ehl),
+    "cycle": (("t",), _build_cycle),
+    "m2_reg": ((), lambda spec: _build_m2(
         ("x", "y", "u", "v"),
         ["x^7", "x^4*y^3", "x^3*y^4", "y^7", "x*u^6", "y*u^6", "u^6*v"],
         ["x*y*v", "u^3"],
-    ),
-    "m2_sdeg": lambda spec: _build_m2(
+    )),
+    "m2_sdeg": ((), lambda spec: _build_m2(
         ("x", "y", "u", "v"),
         ["x^6", "x^3*y^3", "y^6", "x*u^5", "y*u^5", "u^5*v"],
         ["x*y*v^4", "u^6"],
-    ),
+    )),
 }
 FAMILY_NAMES = tuple(_BUILDERS)
 
 
 def build(spec: FamilySpec) -> PresentedIdeal:
-    return _BUILDERS[spec.family](spec)
+    return _BUILDERS[spec.family][1](spec)
 
 
 def _two_branch_quotient(d: int, c: tuple):
@@ -208,15 +202,15 @@ def _two_branch_quotient(d: int, c: tuple):
     return evaluate
 
 
-def predict(spec: FamilySpec, function: str) -> Prediction:
-    """Closed-form predictor for (family, function); raises NoClosedFormError otherwise."""
+def predict(spec: FamilySpec, function: str):
+    """Closed-form evaluator n -> value for (family, function); raises NoClosedFormError otherwise."""
     if spec.family in ("one_dim", "dim1", "dim1b"):
         c = _check_c(spec, weakly_decreasing=(spec.family == "one_dim"))
         d, m = spec.d, len(c) - 1
         if function == "reg_diff":
-            return Prediction(function, lambda n: d * n + _c_at(c, n - 1) - 2)
+            return lambda n: d * n + _c_at(c, n - 1) - 2
         if function == "reg_quotient" and spec.family in ("one_dim", "dim1b"):
-            return Prediction(function, _two_branch_quotient(d, c))
+            return _two_branch_quotient(d, c)
         if function == "reg_power" and spec.family == "one_dim":
 
             def evaluate(n: int) -> int:
@@ -224,20 +218,20 @@ def predict(spec: FamilySpec, function: str) -> Prediction:
                     return max(d * (i + 1) + c[i] - 2 for i in range(n, m))
                 return d * n + c[m] - 1
 
-            return Prediction(function, evaluate)
+            return evaluate
         if function == "sdeg" and spec.family == "dim1b":
             if any(c[i - 1] > c[i] + d for i in range(1, m + 1)):
                 raise NoClosedFormError(
                     "sdeg closed form needs c_{i-1} <= c_i + d for all i"
                 )
-            return Prediction(function, lambda n: d * n + _c_at(c, n - 1) - 1)
+            return lambda n: d * n + _c_at(c, n - 1) - 1
     if spec.family == "ehl" and function == "sdeg":
         r = spec.r
-        return Prediction(function, lambda n: 3 * n + r - 1)
+        return lambda n: 3 * n + r - 1
     if spec.family == "ubiquity3" and function == "reg_power":
         e = trim_constant_tail(spec.e)
         d = spec.d
-        return Prediction(function, lambda n: d * n + _c_at(e, n - 1))
+        return lambda n: d * n + _c_at(e, n - 1)
     raise NoClosedFormError(f"no closed form for {spec.family}/{function}")
 
 

@@ -315,9 +315,6 @@ class RingSpec:
         exps[self.variables.index(name)] = 1
         return Monomial(self, tuple(exps))
 
-    def monomial(self, exponents) -> "Monomial":
-        return Monomial(self, tuple(exponents))
-
     def maximal_ideal(self) -> "MonomialIdeal":
         return self._maximal
 
@@ -330,9 +327,6 @@ class RingSpec:
     @_once
     def _unit(self) -> "MonomialIdeal":
         return MonomialIdeal(self, (self.one(),))
-
-    def parse_monomial(self, text: str) -> "Monomial":
-        return parse_monomial(self, text)
 
 
 @dataclass(frozen=True)
@@ -375,10 +369,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.ring, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def colon_factor(self, u: "Monomial") -> "Monomial":
         """self / gcd(self, u), the generator contributed to a colon ideal."""
@@ -574,10 +564,6 @@ class MonomialIdeal:
         if self.is_zero():
             return 0
         return max(g.degree for g in self.gens)
-
-    def lcm_degree(self) -> int:
-        """Degree of the lcm of all minimal generators; 0 for the zero and unit ideals."""
-        return sum(self.lcm_exponents())
 
     def lcm_exponents(self) -> tuple:
         """Componentwise maximum of the generator exponents (the zero vector if no generators)."""

@@ -50,8 +50,9 @@ def parse_spec(text: str) -> PresentedIdeal:
 
     lineno, name_tokens = expect(0, "ring")
     names = [tok for tok, _ in name_tokens]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate variable name", lineno, name_tokens[0][1])
+    for k, (tok, col) in enumerate(name_tokens):
+        if tok in names[:k]:
+            raise ParseError("duplicate variable name", lineno, col)
     for tok, col in name_tokens:
         try:
             _check_variable(tok)

@@ -185,6 +185,13 @@ def test_malformed_family_list_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_parameter_the_family_does_not_take_is_an_input_error(capsys):
+    code, out = run_cli(["construct", "--family", "ehl", "--r", "2", "--d", "5", "--c", "1,2"])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert capsys.readouterr().err == "error: family 'ehl' does not take parameter d\n"
+
+
 def test_betti_subcommand_csv(tmp_path):
     path = tmp_path / "mx.spec"
     path.write_text("ring x y\nideal x y\n")
@@ -229,6 +236,16 @@ def test_non_ascii_exponent_is_a_parse_error(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert "parse error" in capsys.readouterr().err
+
+
+def test_non_utf8_spec_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.spec"
+    path.write_bytes(b"\xff\xfering x\nideal x\n")
+    code, out = run_cli(["compute", "--input", str(path), "--fn", "reg", "--to", "1"])
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -7,6 +7,7 @@ from regpow import (
     NoClosedFormError,
     build,
     ideal,
+    parse_monomial,
     predict,
     verify,
     zero_ideal,
@@ -19,6 +20,16 @@ from conftest import ring
 def test_family_spec_rejects_unknown_family():
     with pytest.raises(InputError):
         FamilySpec("moebius")
+
+
+def test_family_spec_rejects_parameters_its_family_does_not_take():
+    with pytest.raises(InputError, match="does not take parameter d"):
+        FamilySpec("ehl", r=2, d=5)
+    with pytest.raises(InputError, match="does not take parameter t"):
+        FamilySpec("m2_reg", t=1)
+    with pytest.raises(InputError, match="does not take parameter e"):
+        FamilySpec("one_dim", d=2, c=(3, 1), e=(2,))
+    assert FamilySpec("ubiquity3", d=2, e=(2, 0)).e == (2, 0)
 
 
 def test_trim_constant_tail():
@@ -53,8 +64,8 @@ def test_dim1_builders():
     assert X.ring.variables == ("x1", "x2", "y1")
     assert X.dim_quotient_by_ideal() == 1
     Y = build(FamilySpec("dim1b", d=1, c=(3, 1)))
-    assert Y.quot.contains(Y.ring.parse_monomial("x1*x2"))
-    assert not X.quot.contains(X.ring.parse_monomial("x1*x2"))
+    assert Y.quot.contains(parse_monomial(Y.ring, "x1*x2"))
+    assert not X.quot.contains(parse_monomial(X.ring, "x1*x2"))
     with pytest.raises(InputError):
         build(FamilySpec("dim1", d=1, c=(3,)))  # constant c has no y block
 
@@ -170,7 +181,7 @@ def test_verify_negative_control_stops_at_first_mismatch(monkeypatch):
 
     def corrupted(s, function):
         p = good(s, function)
-        return fam.Prediction(function, lambda n: p(n) + 1)
+        return lambda n: p(n) + 1
 
     monkeypatch.setattr(fam, "predict", corrupted)
     report = fam.verify(spec, "reg_diff", 1, 6)

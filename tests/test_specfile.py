@@ -52,6 +52,7 @@ def test_parse_error_positions():
     assert _parse_error("ideal x\n").line == 1
     assert "ring" in _parse_error("ideal x\n").reason
     assert _parse_error("ring x x\nideal x\n").reason == "duplicate variable name"
+    assert _parse_error("ring x y x\nideal x\n").column == 10  # the repeat, not the first x
     assert "ideal" in _parse_error("ring x\nquot x\n").reason
     assert "empty" in _parse_error("ring x\nideal\n").reason
     assert _parse_error("").reason == "empty spec file"
