@@ -7,6 +7,7 @@ Usage:
 Exits nonzero if any engine value disagrees with its closed form.
 """
 import argparse
+import csv
 import sys
 
 from regpow import FamilySpec, verify
@@ -31,7 +32,8 @@ def main() -> int:
     n_to = parser.parse_args().to
 
     status = 0
-    print("family,params,function,n,engine,predicted,flag")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(("family", "params", "function", "n", "engine", "predicted", "flag"))
     for spec in SPECS:
         params = ",".join(
             f"{k}={v}" for k, v in (("d", spec.d), ("c", spec.c), ("e", spec.e),
@@ -41,7 +43,7 @@ def main() -> int:
             report = verify(spec, fn, 1, n_to)
             for row in report.rows:
                 flag = "ok" if row.ok else "MISMATCH"
-                print(f"{spec.family},{params!r},{fn},{row.n},{row.engine},{row.predicted},{flag}")
+                writer.writerow((spec.family, params, fn, row.n, row.engine, row.predicted, flag))
             if not report.ok:
                 status = 1
     return status

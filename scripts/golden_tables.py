@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Recompute the two four-variable benchmark tables and print them as CSV.
+"""Recompute the three four-variable benchmark tables and print them as CSV.
 
 Usage:
     python3 scripts/golden_tables.py [--to N]

@@ -63,7 +63,8 @@ def _emit_json(report, out):
 
 
 def _load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which some editors write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_spec(fh.read())
 
 

@@ -4,11 +4,12 @@ All values are immutable; ideals always store their unique minimal
 monomial generating set.  The zero ideal is the empty generating set,
 the unit ideal is generated by 1.
 
-`Monomial` and `MonomialIdeal` are validated shells: they check rings and
-exponents at the API boundary.  The ideal arithmetic underneath runs on
-plain exponent tuples in one kernel of module-level functions (the
-"exponent-tuple kernel" section below, also used by `betti`), and only
-the final minimal generators become `Monomial`s.
+A `MonomialIdeal` stores its minimal generators once, as the sorted
+exponent tuples (`_exps`) that the ideal arithmetic runs on: one kernel of
+module-level functions on plain tuples (the "exponent-tuple kernel"
+section below, also used by `betti`).  `Monomial` objects are made only at
+the input boundary (`ideal`, `minimalize`, `parse_monomial`) and when a
+caller reads an ideal's `gens`; the kernel never makes them.
 
 Every derived quantity of a value is computed once, because the same
 small values are hashed and queried again and again (memo keys, subset
@@ -16,12 +17,11 @@ tests, membership):
 
 * `RingSpec` stores `nvars` and, on first use, its maximal ideal and its
   unit ideal;
-* `MonomialIdeal` stores the exponent tuples of its generators (`_exps`)
-  and its hash when it is built, and the packed generators (`_packed`)
-  on the first membership test.  The hash is that of `_exps` alone:
-  equal ideals have equal tuples, so it agrees with `==`, and since it
-  hashes no variable names it is the same under every PYTHONHASHSEED and
-  survives pickling.
+* `MonomialIdeal` stores its hash when it is built, the packed generators
+  (`_packed`) on the first membership test and the `Monomial`s (`gens`)
+  on their first read.  The hash is that of `_exps`: equal ideals have
+  equal tuples, so it agrees with `==`, and since it hashes no variable
+  names it is the same under every PYTHONHASHSEED and survives pickling.
 
 The lazy ones go into the instance `__dict__` through `object.__setattr__`
 (`_once` below), not `functools.cached_property`, which on Python < 3.12
@@ -322,11 +322,11 @@ class RingSpec:
     def _maximal(self) -> "MonomialIdeal":
         # The unit vectors are already minimal; sorted, x_r comes first as in `_minimal`.
         units = (tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars))
-        return _shell(self, sorted(units))
+        return MonomialIdeal(self, sorted(units))
 
     @_once
     def _unit(self) -> "MonomialIdeal":
-        return MonomialIdeal(self, (self.one(),))
+        return MonomialIdeal(self, ((0,) * self.nvars,))
 
 
 @dataclass(frozen=True)
@@ -424,34 +424,39 @@ def parse_monomial(ring: RingSpec, text: str) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal stored by its minimal generating set (sorted, deduplicated).
+    """A monomial ideal stored by the exponent tuples of its minimal generators (sorted, deduplicated).
 
     Build instances through `ideal`, `minimalize`, or the arithmetic
-    operations below, which all minimalize their output.
+    operations below, which all minimalize their output.  The constructor
+    itself takes the generators' exponent tuples, already minimal and
+    sorted, and checks only their shape.
     """
 
     ring: RingSpec
-    gens: tuple[Monomial, ...]
+    _exps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(self.gens)
-        object.__setattr__(self, "gens", gens)
-        ring = self.ring
-        for g in gens:
-            if g.ring is not ring and g.ring != ring:
-                raise RingMismatchError("generator from a different ring")
-        exps = tuple(g.exponents for g in gens)
+        exps = tuple(self._exps)
+        nvars = self.ring.nvars
+        for e in exps:
+            if not (isinstance(e, tuple) and len(e) == nvars and all(isinstance(a, int) and a >= 0 for a in e)):
+                raise ValueError(f"generator {e!r} is not a tuple of {nvars} non-negative integers")
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash(exps))
 
     def __hash__(self) -> int:
         return self._hash
 
+    @_once
+    def gens(self) -> tuple:
+        """The minimal generators as `Monomial`s, in the order of `_exps`."""
+        return tuple(Monomial(self.ring, e) for e in self._exps)
+
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one()
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     @_once
     def _packed(self) -> tuple:
@@ -485,23 +490,18 @@ class MonomialIdeal:
         self._check(other)
         return not other._outside(self._exps)
 
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        return self.is_subset_of(other)
-
     def _check(self, other: "MonomialIdeal"):
         if self.ring != other.ring:
             raise RingMismatchError("ideals from different rings")
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        by_exps = dict(zip(self._exps, self.gens))
-        by_exps.update(zip(other._exps, other.gens))
-        return _keep_minimal(self.ring, by_exps)
+        return MonomialIdeal(self.ring, _minimal(self._exps + other._exps))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         products = [tuple(map(add, g, h)) for g in self._exps for h in other._exps]
-        return _shell(self.ring, _minimal(products))
+        return MonomialIdeal(self.ring, _minimal(products))
 
     def scale(self, u: Monomial) -> "MonomialIdeal":
         """The ideal u * self."""
@@ -511,7 +511,7 @@ class MonomialIdeal:
         if n < 0:
             raise ValueError("power exponent must be >= 0")
         if n == 0:
-            return ideal(self.ring, [self.ring.one()])
+            return self.ring._unit
         result = self
         for _ in range(n - 1):
             result = result * self
@@ -519,20 +519,20 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return _shell(self.ring, _intersect(self._exps, other._exps))
+        return MonomialIdeal(self.ring, _intersect(self._exps, other._exps))
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """The colon ideal self : (u)."""
         if u.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
-        return _shell(self.ring, _colon(self._exps, u.exponents))
+        return MonomialIdeal(self.ring, _colon(self._exps, u.exponents))
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """The colon ideal self : other, intersected over the generators of other."""
         self._check(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
-        return _shell(self.ring, _colon_ideal(self._exps, other._exps))
+        return MonomialIdeal(self.ring, _colon_ideal(self._exps, other._exps))
 
     def saturate(self) -> "MonomialIdeal":
         """Saturation by the maximal ideal: I : m^∞ = ∩_i (I : x_i^∞).
@@ -544,7 +544,7 @@ class MonomialIdeal:
             _minimal([e[:i] + (0,) + e[i + 1:] for e in self._exps])
             for i in range(self.ring.nvars)
         ]
-        return _shell(self.ring, functools.reduce(_intersect, parts))
+        return MonomialIdeal(self.ring, functools.reduce(_intersect, parts))
 
     def krull_dim_quotient(self) -> int:
         """Krull dimension of S/self; -1 for the unit ideal (zero ring)."""
@@ -561,9 +561,7 @@ class MonomialIdeal:
 
     def max_gen_degree(self) -> int:
         """Maximal degree of a minimal generator; 0 for the zero and unit ideals."""
-        if self.is_zero():
-            return 0
-        return max(g.degree for g in self.gens)
+        return max(map(sum, self._exps), default=0)
 
     def lcm_exponents(self) -> tuple:
         """Componentwise maximum of the generator exponents (the zero vector if no generators)."""
@@ -577,22 +575,12 @@ class MonomialIdeal:
 
 def minimalize(ring: RingSpec, gens) -> MonomialIdeal:
     """The unique minimal generating set: drop every monomial divisible by another one."""
-    by_exps = {}
+    exps = []
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generator from a different ring")
-        by_exps[g.exponents] = g
-    return _keep_minimal(ring, by_exps)
-
-
-def _keep_minimal(ring: RingSpec, by_exps: dict) -> MonomialIdeal:
-    """The ideal generated by the Monomials by_exps maps to, keeping the minimal ones."""
-    return MonomialIdeal(ring, tuple(by_exps[e] for e in _minimal(by_exps)))
-
-
-def _shell(ring: RingSpec, exps) -> MonomialIdeal:
-    """The ideal with the given minimal generating tuples, validated as Monomials."""
-    return MonomialIdeal(ring, tuple(Monomial(ring, e) for e in exps))
+        exps.append(g.exponents)
+    return MonomialIdeal(ring, _minimal(exps))
 
 
 def ideal(ring: RingSpec, gens) -> MonomialIdeal:

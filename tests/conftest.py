@@ -86,7 +86,7 @@ def minimalize_by_objects(rng: RingSpec, gens) -> MonomialIdeal:
         if not any(h.divides(g) for h in minimal):
             minimal.append(g)
     minimal.sort(key=lambda m: m.exponents)
-    return MonomialIdeal(rng, tuple(minimal))
+    return MonomialIdeal(rng, tuple(m.exponents for m in minimal))
 
 
 def product_by_objects(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -248,6 +248,15 @@ def test_non_utf8_spec_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_spec_file_with_a_byte_order_mark_is_read(tmp_path, spec_file):
+    path = tmp_path / "bom.spec"
+    path.write_bytes(b"\xef\xbb\xbf" + ONE_DIM_SPEC.encode("utf-8"))
+    argv = ["compute", "--fn", "regdiff", "--from", "1", "--to", "4", "--input"]
+    code, out = run_cli(argv + [str(path)])
+    assert code == EXIT_OK
+    assert out == run_cli(argv + [spec_file])[1]
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _ = run_cli(
         ["compute", "--input", str(tmp_path / "nope.spec"), "--fn", "reg",

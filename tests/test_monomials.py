@@ -60,6 +60,14 @@ def test_monomial_validation():
         Monomial(r, (1, -1))
 
 
+def test_ideal_constructor_checks_each_exponent_tuple():
+    r = ring("x", "y")
+    assert MonomialIdeal(r, [(0, 2), (1, 0)])._exps == ((0, 2), (1, 0))
+    for bad in [(1,), (1, -1), (1.0, 0), Monomial(r, (1, 0))]:
+        with pytest.raises(ValueError):
+            MonomialIdeal(r, (bad,))
+
+
 def test_monomial_degree_and_support():
     r = ring("x", "y", "z")
     m = Monomial(r, (2, 0, 3))
@@ -349,11 +357,12 @@ def test_equal_ideals_hash_equal_and_share_a_dict_key():
         memo = {}
         for K in builds:
             assert K == builds[0] and hash(K) == hash(builds[0])
+            assert K.gens == tuple(Monomial(K.ring, e) for e in K._exps)
             memo[K] = memo.get(K, 0) + 1
         assert memo == {builds[0]: len(builds)}
         # ideals with the same generators in another ring are a different key
         other = RingSpec(tuple(f"y{i}" for i in range(r.nvars)))
-        moved = MonomialIdeal(other, tuple(Monomial(other, e) for e in builds[0]._exps))
+        moved = MonomialIdeal(other, builds[0]._exps)
         assert moved != builds[0] and moved not in memo
 
 

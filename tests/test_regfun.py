@@ -9,6 +9,7 @@ from regpow import (
     NEG_INF,
     FamilySpec,
     InputError,
+    Monomial,
     MonomialIdeal,
     PresentedIdeal,
     RingSpec,
@@ -25,6 +26,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow import families, monomials, regfun
+from regpow.betti import _betti_table_memo
 
 from conftest import random_ideal, ring, saturate_by_colon_fixpoint, sdeg_by_colon_fold
 
@@ -248,6 +250,28 @@ def test_sdeg_at_the_frontier_runs_no_colon_fold(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "colon_ideal", refuse)
     assert build(FamilySpec("cycle", t=4)).sdeg(5) == 10  # the colon fold's value
     assert build(FamilySpec("cycle", t=5)).sdeg(5) == 2  # sdeg = 2 for n <= t
+
+
+def test_kernel_ops_and_values_build_no_monomials(monkeypatch):
+    monkeypatch.delenv("REGPOW_CACHE", raising=False)  # a disk-cache key is written from `gens`
+    X = build(FamilySpec("m2_reg"))
+    I, Q, m = X.lift, X.quot, X.ring.maximal_ideal()
+    u = I.gens[0]
+    # cold memos, so every value below runs the whole path
+    regfun.PresentedIdeal._lifted_power.cache_clear()
+    _betti_table_memo.cache_clear()
+    built = []
+    original = Monomial.__post_init__
+
+    def counting(self):
+        built.append(self.exponents)
+        original(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counting)
+    I * Q, I + Q, I.intersect(Q), Q.colon(u), Q.colon_ideal(m), Q.saturate(), I.power(3)
+    for n in (1, 2, 3):
+        X.reg_quotient(n), X.reg_diff(n), X.reg_power(n), X.sdeg(n), X.gen_degree(n)
+    assert built == []
 
 
 def test_sdeg_equals_quotient_regularity_plus_one_in_dimension_zero():

@@ -1,4 +1,5 @@
 """Smoke runs of scripts/: each one exits 0 and prints its header on a small window."""
+import csv
 import importlib.util
 import os
 import subprocess
@@ -31,7 +32,8 @@ def test_family_sweep_prints_one_row_per_spec_function_and_power():
     expected = [
         (s.family, fn, str(n)) for s in sweep.SPECS for fn in supported_predictions(s) for n in (1, 2, 3)
     ]
-    rows = [line.split(",") for line in lines[1:]]
+    rows = list(csv.reader(lines[1:]))
+    assert all(len(r) == 7 for r in rows)
     assert [(r[0], r[-5], r[-4]) for r in rows] == expected
     assert all(r[-1] == "ok" for r in rows)
 
