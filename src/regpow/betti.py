@@ -2,14 +2,31 @@
 
 The production path decomposes the Koszul complex K(x_1..x_r) ⊗ A/B by
 multidegree: each multidegree block is a complex of dimension at most
-2^r.  A block can carry homology only at a point of L(A) ∪ L(B), the lcm
-lattices of the two generating sets (every lcm of a nonempty subset of
-generators).  The Taylor resolutions of A and B live on those lattices
+2^r, and the block at alpha is the relative upper Koszul simplicial
+complex (K^alpha(A), K^alpha(B)), the faces F ⊆ {1..r} with x^(alpha - F)
+in A and not in B (Miller–Sturmfels, Combinatorial Commutative Algebra,
+Thm 1.34).  Its homology in face size i is Tor_i(A/B)_alpha.
+
+A table is composed from the multigraded Betti numbers of S/A and S/B,
+each computed once per ideal.  For S/J the numerator is the unit ideal, so
+its block at alpha is Δ_alpha minus K^alpha(J), Δ_alpha the simplex on
+supp(alpha).  With K^alpha(B) ⊆ K^alpha(A) ⊆ Δ_alpha, the blocks of
+0 → A/B → S/B → S/A → 0 form a short exact sequence of chain complexes at
+every alpha, hence the long exact sequence
+
+    … → Tor_{i+1}(S/A)_alpha → Tor_i(A/B)_alpha → Tor_i(S/B)_alpha → Tor_i(S/A)_alpha → …
+
+Where Tor(S/A)_alpha vanishes in every degree it gives
+Tor_i(A/B)_alpha ≅ Tor_i(S/B)_alpha; where Tor(S/B)_alpha vanishes it gives
+Tor_i(A/B)_alpha ≅ Tor_{i+1}(S/A)_alpha, one homological degree down; where
+both vanish, Tor(A/B)_alpha = 0.  Only at the points of both supports is
+the relative block of (A, B) ranked.  Tor(S/J) is supported on
+L(J) ∪ {0}, where L(J) is the lcm lattice of the generators (every lcm of
+a nonempty subset): the Taylor resolution of S/J lives on it
 (Gasharov–Peeva–Welker, "The lcm-lattice in monomial resolutions", Math.
-Res. Lett. 6, 1999), and the long exact Tor sequence of 0 → B → A → A/B → 0
-puts Tor_i(A/B)_b between Tor_i(A)_b and Tor_{i-1}(B)_b.  At each lattice
-point the block is the relative upper Koszul simplicial complex of
-(A, B) (Miller–Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).
+Res. Lett. 6, 1999).  So A = S gives S/B's Betti numbers (S/S = 0 has
+empty support), and B = 0 gives S/0 = S the support {0}.  The shift never
+reaches degree -1: Tor_0(S/A) lives only at 0, which S/B ≠ 0 shares.
 
 The block at alpha comes from facets, one pass over the generators: a
 generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
@@ -22,9 +39,9 @@ across lattice points and tables, so their homology is memoized on the
 face set in a bounded LRU cache.
 
 The lattices are built and read as packed ints, never as exponent tuples.
-A table packs every exponent vector in one `_layout(r, top)`, top the
-largest exponent of the lcm box: fields of w bits whose top bit, the
-guard bit, is 0 (mask G).  In ((a | G) - g) no field borrows from the
+An ideal packs its exponent vectors in its own `_layout(r, top)`, top its
+largest generator exponent (at least 1): fields of w bits whose top bit,
+the guard bit, is 0 (mask G).  In ((a | G) - g) no field borrows from the
 next, and a field keeps its guard bit exactly when a_j >= g_j.  So with
 sel = ((a | G) - g) & G and m = sel - (sel >> (w-1)), the value bits of
 those fields,
@@ -32,11 +49,17 @@ those fields,
     lcm(a, g) = (a & m) | (g & ~(m | G)),
 
 a's field where a_j >= g_j and g's elsewhere.  `monomials._lcm_closure`
-closes the generators under it, one generator at a time, and `_lattice`
-memoizes each ideal's lattice per layout in a bounded cache.  The block
-loop iterates the packed points directly: the same subtraction tells
-which generators divide a point and gives their facets, and a point's
-degree is unpacked only when its block is nonempty.
+closes the generators under it, one generator at a time.  The scan
+iterates the packed points directly: the same subtraction tells which
+generators divide a point and gives their facets, and a point's degree is
+unpacked only when its block has homology.  `_quotient_betti` keeps, per
+ideal, only the points of the support with their degree and Betti numbers,
+in a bounded memo of 64 ideals keyed by the ideal with its ring; the
+lattice itself is dropped.  Neighbouring modules share ideals (J_n is the
+denominator of R/I^n and of I^(n-1)/I^n and the numerator of I^n/I^(n+1)
+and of I^n = J_n/Q), so a window scans each lattice once.  A table meets
+the two supports in the wider of the two layouts, which is the layout of
+its lcm box, and repacks only the narrower ideal's support and generators.
 
 Every lattice point lies in the componentwise-lcm box of the generators,
 so the box degree plus r still bounds every degree j with a nonzero Betti
@@ -259,20 +282,6 @@ def _block_betti(faces: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _lattice(ideal: MonomialIdeal, top: int) -> frozenset:
-    """L(ideal), the lcm lattice of the generators, packed in `_layout(nvars, top)`.
-
-    top must be at least every generator exponent.  Neighbouring modules
-    share ideals (I^n is the denominator of R/I^n and of I^(n-1)/I^n, and
-    the numerator of I^n/I^(n+1)), and their tables share a layout, hence
-    the memo.  Its key is the ideal with its ring and the layout's top, and
-    it is bounded because a lattice can be large.
-    """
-    shifts, guards = _layout(ideal.ring.nvars, top)
-    return frozenset(_lcm_closure([_pack(e, shifts) for e in ideal._exps], guards))
-
-
 class _Simplices(dict):
     """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup."""
 
@@ -286,30 +295,91 @@ class _Simplices(dict):
         return faces
 
 
-def _compute_betti_table(module: Subquotient) -> BettiTable:
-    ring = module.ring
-    nv = ring.nvars
-    A, B = module.numerator, module.denominator
-    box = tuple(map(max, A.lcm_exponents(), B.lcm_exponents()))
-    union_lcm_degree = sum(box)
-    search_bound = max(union_lcm_degree, 1) + nv
-    entries = {}
-    if module.is_zero():
-        return BettiTable(entries, search_bound)
-    # Every coordinate of a lattice point or a generator is at most top.
-    top = max(max(box), 1)
+@lru_cache(maxsize=64)
+def _simplices(shifts: tuple, bits: int) -> _Simplices:
+    """The `_Simplices` of the layout with these shifts and bits value bits per field, shared by every scan on it."""
+    return _Simplices([1 << (s + bits) for s in shifts])
+
+
+@lru_cache(maxsize=64)
+def _quotient_betti(ideal: MonomialIdeal) -> tuple:
+    """(bits, shifts, packed, support): the multigraded Betti numbers of S/ideal.
+
+    The ideal's own layout `_layout(nvars, max(top, 1))` has the given
+    shifts and fields of bits value bits; packed holds the generators in it.
+    support maps each multidegree alpha with Tor(S/ideal)_alpha != 0, packed
+    in that layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  The numerator
+    is the unit ideal, so the block at alpha is the simplex on the support of
+    alpha minus K^alpha(ideal), scanned over L(ideal) ∪ {0}.
+    """
+    nv = ideal.ring.nvars
+    top = max(max(map(max, ideal._exps), default=0), 1)
     shifts, guards = _layout(nv, top)
-    value_bits = (1 << top.bit_length()) - 1
+    bits = top.bit_length()
+    value_bits = (1 << bits) - 1
     ones = _pack((1,) * nv, shifts)
-    a_packed = [_pack(e, shifts) for e in A._exps]
-    b_packed = [_pack(e, shifts) for e in B._exps]
-    simplices = _Simplices([1 << (s + top.bit_length()) for s in shifts])
+    packed = tuple(_pack(e, shifts) for e in ideal._exps)
+    simplices = _simplices(shifts, bits)
+    support = {}
+    # With q = x^alpha | guards, a generator g divides x^alpha when q - g keeps
+    # every guard bit, and its facet T_g = {j : g_j < alpha_j} is the guard
+    # pattern of (q - g) - ones: a field keeps its guard bit exactly when
+    # alpha_j - g_j - 1 >= 0.  The unit ideal's generator 0 gives supp(alpha).
+    for p in _lcm_closure(packed, guards) | {0}:
+        q = p | guards
+        faces = simplices[(q - ones) & guards]
+        for g in packed:
+            d = q - g
+            if d & guards == guards:
+                faces &= ~simplices[(d - ones) & guards]
+                if not faces:
+                    break
+        else:
+            betti = _block_betti(faces)
+            if betti:
+                support[p] = (sum((p >> s) & value_bits for s in shifts), betti)
+    return bits, shifts, packed, support
+
+
+def _repack(points, bits: int, shifts: tuple, wide: tuple) -> list:
+    """The packed points moved from `shifts` (fields of bits value bits) to the wider layout `wide`."""
+    value_bits = (1 << bits) - 1
+    return [sum(((p >> s) & value_bits) << t for s, t in zip(shifts, wide)) for p in points]
+
+
+def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
+    """Yield (alpha, |alpha|, ((i, beta_i), ...)) for each multidegree alpha with Tor(A/B)_alpha != 0.
+
+    alpha is packed in the layout of the lcm box of A and B, the wider of
+    the two ideals' layouts; the narrower ideal is repacked into it.
+    """
+    a_bits, a_shifts, a_packed, a_support = _quotient_betti(A)
+    b_bits, b_shifts, b_packed, b_support = _quotient_betti(B)
+    if a_bits < b_bits:
+        a_packed = _repack(a_packed, a_bits, a_shifts, b_shifts)
+        a_support = dict(zip(_repack(a_support, a_bits, a_shifts, b_shifts), a_support.values()))
+    elif b_bits < a_bits:
+        b_packed = _repack(b_packed, b_bits, b_shifts, a_shifts)
+        b_support = dict(zip(_repack(b_support, b_bits, b_shifts, a_shifts), b_support.values()))
+    # Off supp(S/A) Tor_i(A/B) is Tor_i(S/B), and off supp(S/B) it is
+    # Tor_{i+1}(S/A); only the common points need the relative block.
+    shared = []
+    for p, (j, betti) in b_support.items():
+        if p in a_support:
+            shared.append((p, j))
+        else:
+            yield p, j, betti
+    for p, (j, betti) in a_support.items():
+        if p not in b_support:
+            yield p, j, tuple((i - 1, b) for i, b in betti)
+    nv = A.ring.nvars
+    bits = max(a_bits, b_bits)
+    shifts, guards = _layout(nv, (1 << bits) - 1)
+    ones = _pack((1,) * nv, shifts)
+    simplices = _simplices(shifts, bits)
     # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
-    # faces F with x^(alpha - F) in A and not in B.  With q = x^alpha | guards,
-    # a generator g divides x^alpha when q - g keeps every guard bit, and its
-    # facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
-    # a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.
-    for p in _lattice(A, top) | _lattice(B, top):
+    # faces F with x^(alpha - F) in A and not in B, from the facets as above.
+    for p, j in shared:
         q = p | guards
         faces = 0
         for g in a_packed:
@@ -325,8 +395,19 @@ def _compute_betti_table(module: Subquotient) -> BettiTable:
                 if not faces:
                     break
         else:
-            j = sum((p >> s) & value_bits for s in shifts)
-            for i, b in _block_betti(faces):
+            betti = _block_betti(faces)
+            if betti:
+                yield p, j, betti
+
+
+def _compute_betti_table(module: Subquotient) -> BettiTable:
+    A, B = module.numerator, module.denominator
+    union_lcm_degree = sum(map(max, A.lcm_exponents(), B.lcm_exponents()))
+    search_bound = max(union_lcm_degree, 1) + module.ring.nvars
+    entries = {}
+    if not module.is_zero():
+        for _, j, betti in _tor_by_multidegree(A, B):
+            for i, b in betti:
                 entries[(i, j)] = entries.get((i, j), 0) + b
     return BettiTable(entries, search_bound)
 

@@ -10,12 +10,14 @@ import pytest
 
 from regpow import (
     NEG_INF,
+    FamilySpec,
     Monomial,
     PresentedIdeal,
     Subquotient,
     betti,
     betti_bidegree,
     betti_table,
+    build,
     defect_report,
     hilbert,
     ideal,
@@ -34,13 +36,15 @@ from regpow.betti import (
     _canonical_key,
     _compute_betti_table,
     _koszul_rows,
-    _lattice,
     _levels,
+    _quotient_betti,
     _rank_dense,
     _rank_int,
     _simplex,
+    _tor_by_multidegree,
     deferred_cache_writes,
 )
+from regpow.monomials import _layout
 
 import _block_oracle
 import _hochster
@@ -198,7 +202,7 @@ def test_hochster_oracle_matches_engine_betti_tables():
 
 
 def test_lattice_betti_tables_match_box_oracle():
-    """betti_table visits only L(A) ∪ L(B); the oracle visits the whole lcm box."""
+    """betti_table composes S/A and S/B over their lcm lattices; the oracle visits the whole lcm box."""
     rnd = random.Random(53)
     seen = set()
     for nv in range(1, 5):
@@ -232,8 +236,22 @@ def _is_cone(faces: list) -> bool:
     return any(all(F | {v} in faces for F in faces) for v in vertices)
 
 
+def _unpack(p: int, bits: int, shifts: tuple) -> tuple:
+    return tuple((p >> s) & ((1 << bits) - 1) for s in shifts)
+
+
+def _support(ideal) -> set:
+    """The multidegrees where Tor(S/ideal) is nonzero, as the per-ideal memo holds them."""
+    bits, shifts, _, support = _quotient_betti(ideal)
+    return {_unpack(p, bits, shifts) for p in support}
+
+
 def test_facet_blocks_match_membership_oracle():
-    """Bitmask facet blocks with integer rank against the former membership-test path."""
+    """Bitmask facet blocks with integer rank against the former membership-test path.
+
+    The table, and the composed Tor(A/B) at every point of L(A) ∪ L(B),
+    equal the direct relative block of (A, B) there.
+    """
     rnd = random.Random(59)
     modules = []
     for nv in range(1, 7):
@@ -248,6 +266,12 @@ def test_facet_blocks_match_membership_oracle():
         B = random_ideal(rnd, r, max_exp=edge) + ideal(r, [Monomial(r, (edge,) + (0,) * (r.nvars - 1))])
         A = unit_ideal(r) if k % 2 else B + random_ideal(rnd, r, max_exp=edge)
         modules.append((A, B))
+    # the shapes a window produces: I^n, R/I^n and I^(n-1)/I^n over S/Q
+    presented = build(FamilySpec("m2_reg"))
+    for n in range(1, 5):
+        for kind in ("power", "quotient", "diff"):
+            M = presented.module_of(kind, n)
+            modules.append((M.numerator, M.denominator))
     seen = set()
     cases = 0
     for A, B in modules:
@@ -270,8 +294,26 @@ def test_facet_blocks_match_membership_oracle():
                 if b_faces and not _is_cone(b_faces):
                     seen.add("non-cone B-complex")
                     break
+        if A == B:
+            continue
+        bits = max(_quotient_betti(A)[0], _quotient_betti(B)[0])
+        shifts = _layout(A.ring.nvars, (1 << bits) - 1)[0]
+        composed = {_unpack(p, bits, shifts): dict(betti) for p, _, betti in _tor_by_multidegree(A, B)}
+        points = _block_oracle.lcm_closure_by_frontier(a_exps) | _block_oracle.lcm_closure_by_frontier(b_exps)
+        assert set(composed) <= points, (A, B)
+        supp_a, supp_b = _support(A), _support(B)
+        for alpha in points:
+            levels = _block_oracle.block_levels(alpha, a_exps, b_exps)
+            direct = _block_oracle.block_betti(levels, A.ring.nvars) if levels else {}
+            assert composed.get(alpha, {}) == direct, (A, B, alpha)
+            if alpha in supp_a or alpha in supp_b:
+                seen.add("in both supports" if alpha in supp_a and alpha in supp_b
+                         else "only in supp(S/A)" if alpha in supp_a else "only in supp(S/B)")
     assert cases >= 500
-    assert seen == {"zero denominator", "unit numerator", "non-cone B-complex", "box top on a field edge"}
+    assert seen == {
+        "zero denominator", "unit numerator", "non-cone B-complex", "box top on a field edge",
+        "only in supp(S/B)", "only in supp(S/A)", "in both supports",
+    }
 
 
 def test_integer_rank_matches_rational_rank():
@@ -334,8 +376,8 @@ def test_simplex_face_set():
 
 
 def test_block_memo_is_bounded_and_transparent():
-    """The block, lattice and table memos are bounded, and cold memos give the warm tables."""
-    memos = (_block_betti, _lattice, _betti_table_memo)
+    """The block, per-ideal and table memos are bounded, and cold memos give the warm tables."""
+    memos = (_block_betti, _quotient_betti, _betti_table_memo)
     assert all(memo.cache_info().maxsize is not None for memo in memos)
     rnd = random.Random(71)
     r = ring("x", "y", "z", "w")
@@ -343,20 +385,20 @@ def test_block_memo_is_bounded_and_transparent():
     warm = [_compute_betti_table(M).entries for M in modules]
     assert [_compute_betti_table(M).entries for M in modules] == warm
     assert [betti_table(M).entries for M in modules] == warm
-    assert _lattice.cache_info().hits > 0
+    assert _quotient_betti.cache_info().hits > 0
     for memo in memos:
         memo.cache_clear()
         assert [_compute_betti_table(M).entries for M in modules] == warm
         assert [betti_table(M).entries for M in modules] == warm
     assert all(memo.cache_info().misses > 0 for memo in memos)
-    # a lattice is keyed by the ideal with its ring: the same generators in
-    # another ring get their own entry
+    # the per-ideal memo is keyed by the ideal with its ring: the same
+    # generators in another ring get their own entry
     s = ring("a", "b", "c", "d")
     A, B = modules[0].numerator, modules[0].denominator
     moved = Subquotient(*(minimalize(s, [Monomial(s, e) for e in I._exps]) for I in (A, B)))
-    before = _lattice.cache_info().currsize
+    before = _quotient_betti.cache_info().currsize
     assert _compute_betti_table(moved).entries == warm[0]
-    assert _lattice.cache_info().currsize > before
+    assert _quotient_betti.cache_info().currsize > before
 
 
 def test_artinian_regularity_agrees_with_top_degree():
