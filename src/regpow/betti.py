@@ -28,6 +28,19 @@ Res. Lett. 6, 1999).  So A = S gives S/B's Betti numbers (S/S = 0 has
 empty support), and B = 0 gives S/0 = S the support {0}.  The shift never
 reaches degree -1: Tor_0(S/A) lives only at 0, which S/B ≠ 0 shares.
 
+The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
+a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
+H_{i-1}(K), in face sizes with the empty face included.  A generator
+whose facet (below) is all of supp(alpha) makes K = Δ_alpha, and then
+Tor(S/J)_alpha = 0.  If K = {∅}, alpha is a generator and Tor_1 = k is
+all.  Otherwise let v be a vertex of K.  K is del_v K ∪ v * lk_v K, and
+the cone v * lk_v K is acyclic, so H(K) = H(K, v * lk_v K), whose chain
+complex is that of the face set del_v K minus lk_v K: the faces of the
+facets T without v, minus those of the T - v for the facets T with v.
+Its homology in face size i is Tor_{i+1}(S/J)_alpha, on one vertex fewer.
+Any vertex of K will do; the last one is cheap to find and ranked the
+least on the families tried (cycle, ehl, m2_reg, m2_sdeg, the corpus).
+
 The block at alpha comes from facets, one pass over the generators: a
 generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
 and the faces of K^alpha(A) are the subsets of some T_g (likewise for B).
@@ -308,9 +321,9 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     The ideal's own layout `_layout(nvars, max(top, 1))` has the given
     shifts and fields of bits value bits; packed holds the generators in it.
     support maps each multidegree alpha with Tor(S/ideal)_alpha != 0, packed
-    in that layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  The numerator
-    is the unit ideal, so the block at alpha is the simplex on the support of
-    alpha minus K^alpha(ideal), scanned over L(ideal) ∪ {0}.
+    in that layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  It is read off
+    L(ideal) ∪ {0}, each point's block reduced at one vertex as in the
+    module docstring.
     """
     nv = ideal.ring.nvars
     top = max(max(map(max, ideal._exps), default=0), 1)
@@ -320,22 +333,36 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     ones = _pack((1,) * nv, shifts)
     packed = tuple(_pack(e, shifts) for e in ideal._exps)
     simplices = _simplices(shifts, bits)
-    support = {}
+    support = {} if ideal.is_unit() else {0: (0, ((0, 1),))}
     # With q = x^alpha | guards, a generator g divides x^alpha when q - g keeps
     # every guard bit, and its facet T_g = {j : g_j < alpha_j} is the guard
     # pattern of (q - g) - ones: a field keeps its guard bit exactly when
-    # alpha_j - g_j - 1 >= 0.  The unit ideal's generator 0 gives supp(alpha).
-    for p in _lcm_closure(packed, guards) | {0}:
+    # alpha_j - g_j - 1 >= 0.  With g = 0 the same gives supp(alpha).
+    for p in _lcm_closure(packed, guards):
         q = p | guards
-        faces = simplices[(q - ones) & guards]
+        full = (q - ones) & guards
+        facets, union = [], 0
         for g in packed:
             d = q - g
             if d & guards == guards:
-                faces &= ~simplices[(d - ones) & guards]
-                if not faces:
-                    break
+                T = (d - ones) & guards
+                if T == full:
+                    break  # K^alpha is the whole simplex
+                facets.append(T)
+                union |= T
         else:
-            betti = _block_betti(faces)
+            if not union:  # alpha is a generator and K^alpha = {∅}
+                betti = ((1, 1),)
+            else:
+                v = 1 << (union.bit_length() - 1)  # the guard bit of K's last vertex
+                kept = dropped = 0
+                for T in facets:
+                    if T & v:
+                        dropped |= simplices[T ^ v]
+                    else:
+                        kept |= simplices[T]
+                faces = kept & ~dropped
+                betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
             if betti:
                 support[p] = (sum((p >> s) & value_bits for s in shifts), betti)
     return bits, shifts, packed, support
