@@ -20,23 +20,38 @@ Where Tor(S/A)_alpha vanishes in every degree it gives
 Tor_i(A/B)_alpha ≅ Tor_i(S/B)_alpha; where Tor(S/B)_alpha vanishes it gives
 Tor_i(A/B)_alpha ≅ Tor_{i+1}(S/A)_alpha, one homological degree down; where
 both vanish, Tor(A/B)_alpha = 0.  Only at the points of both supports is
-the relative block of (A, B) ranked.  Tor(S/J) is supported on
-L(J) ∪ {0}, where L(J) is the lcm lattice of the generators (every lcm of
-a nonempty subset): the Taylor resolution of S/J lives on it
-(Gasharov–Peeva–Welker, "The lcm-lattice in monomial resolutions", Math.
-Res. Lett. 6, 1999).  So A = S gives S/B's Betti numbers (S/S = 0 has
-empty support), and B = 0 gives S/0 = S the support {0}.  The shift never
-reaches degree -1: Tor_0(S/A) lives only at 0, which S/B ≠ 0 shares.
+the relative block of (A, B) ranked.  So A = S gives S/B's Betti numbers
+(S/S = 0 has empty support), and B = 0 gives S/0 = S the support {0}.  The
+shift never reaches degree -1: Tor_0(S/A) lives only at 0, which S/B ≠ 0
+shares.
+
+The support of S/J is found by a Mayer–Vietoris tree (E. Sáenz-de-Cabezón,
+"Multigraded Betti numbers without computing minimal free resolutions",
+AAECC 20, 2009).  Its root is J at dimension 0.  The node (m_1..m_k),
+generators sorted by degree, at dimension d counts each m_j as a pivot at
+d, and for each j > 1 it has a child at d + 1, the minimal lcm(m_i, m_j)
+for i < j.  At a node, take the Mayer–Vietoris sequence
+0 → J' ∩ (m_k) → J' ⊕ (m_k) → J → 0 at alpha, where J' is the node without
+m_k and J' ∩ (m_k) is the child, and induct over the tree.  If alpha is a
+pivot in one dimension d only, the Tor of every node at alpha lives in one
+homological degree, and the child's is one lower, so every map from the
+child's Tor into that of J' ⊕ (m_k) at alpha is zero; the long exact
+sequence splits into short exact pieces, the counts add up, and
+Tor_{d+1}(S/J)_alpha is the pivot count.  The same sequence shows that
+every support point of J is a pivot somewhere, so none is missed.  A
+pivot in several dimensions is ranked, by its block at that one point.
+Above dimension 0 a pivot is the lcm of two or more generators, so a
+generator is a pivot once, at dimension 0, and is never ranked.
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
 H_{i-1}(K), in face sizes with the empty face included.  A generator
 whose facet (below) is all of supp(alpha) makes K = Δ_alpha, and then
-Tor(S/J)_alpha = 0.  If K = {∅}, alpha is a generator and Tor_1 = k is
-all.  Otherwise let v be a vertex of K.  K is del_v K ∪ v * lk_v K, and
-the cone v * lk_v K is acyclic, so H(K) = H(K, v * lk_v K), whose chain
-complex is that of the face set del_v K minus lk_v K: the faces of the
-facets T without v, minus those of the T - v for the facets T with v.
+Tor(S/J)_alpha = 0.  Otherwise, alpha being no generator, K has a vertex
+v.  K is del_v K ∪ v * lk_v K, and the cone v * lk_v K is acyclic, so
+H(K) = H(K, v * lk_v K), whose chain complex is that of the face set
+del_v K minus lk_v K: the faces of the facets T without v, minus those of
+the T - v for the facets T with v.
 Its homology in face size i is Tor_{i+1}(S/J)_alpha, on one vertex fewer.
 Any vertex of K will do; the last one is cheap to find and ranked the
 least on the families tried (cycle, ehl, m2_reg, m2_sdeg, the corpus).
@@ -48,40 +63,30 @@ A face is a bitmask of variables, and a complex is a face set, one int
 with bit F set for each face F, so the block is K^alpha(A) & ~K^alpha(B).
 Its boundary matrices have entries 0 and ±1 and are ranked exactly over
 the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
-across lattice points and tables, so their homology is memoized on the
-face set in a bounded LRU cache.
+across points and tables, so their homology is memoized on the face set
+in a bounded LRU cache.
 
-The lattices are built and read as packed ints, never as exponent tuples.
-An ideal packs its exponent vectors in its own `_layout(r, top)`, top its
+A support point is packed in its ideal's own `_layout(r, top)`, top the
 largest generator exponent (at least 1): fields of w bits whose top bit,
-the guard bit, is 0 (mask G).  In ((a | G) - g) no field borrows from the
-next, and a field keeps its guard bit exactly when a_j >= g_j.  So with
-sel = ((a | G) - g) & G and m = sel - (sel >> (w-1)), the value bits of
-those fields,
+the guard bit, is 0 (mask G).  With q = x^alpha | G, a generator g divides
+x^alpha exactly when q - g keeps every guard bit, and the same subtraction
+gives its facet.  `_quotient_betti` keeps, per ideal, only the points of
+the support with their degree and Betti numbers, in a bounded memo of 64
+ideals keyed by the ideal with its ring.  Neighbouring modules share
+ideals (J_n is the denominator of R/I^n and of I^(n-1)/I^n and the
+numerator of I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each
+tree once.  A table meets the two supports in the wider of the two
+layouts, which is the layout of its lcm box, and repacks only the
+narrower ideal's support and generators.
 
-    lcm(a, g) = (a & m) | (g & ~(m | G)),
-
-a's field where a_j >= g_j and g's elsewhere.  `monomials._lcm_closure`
-closes the generators under it, one generator at a time.  The scan
-iterates the packed points directly: the same subtraction tells which
-generators divide a point and gives their facets, and a point's degree is
-unpacked only when its block has homology.  `_quotient_betti` keeps, per
-ideal, only the points of the support with their degree and Betti numbers,
-in a bounded memo of 64 ideals keyed by the ideal with its ring; the
-lattice itself is dropped.  Neighbouring modules share ideals (J_n is the
-denominator of R/I^n and of I^(n-1)/I^n and the numerator of I^n/I^(n+1)
-and of I^n = J_n/Q), so a window scans each lattice once.  A table meets
-the two supports in the wider of the two layouts, which is the layout of
-its lcm box, and repacks only the narrower ideal's support and generators.
-
-Every lattice point lies in the componentwise-lcm box of the generators,
-so the box degree plus r still bounds every degree j with a nonzero Betti
-number.  `search_bound` keeps that box value rather than the lattice's top
-degree: `regpow betti --format json` prints it and the disk cache stores
-it, and it depends only on the generators' lcms, not on which lattice
-points carry homology.  `betti_bidegree`, rank-nullity on the full
-bidegree matrices of K ⊗ A/B ranked by rational Gaussian elimination, is
-kept as an independent cross-check.
+Every pivot lies in the componentwise-lcm box of the generators, so the
+box degree plus r still bounds every degree j with a nonzero Betti number.
+`search_bound` keeps that box value rather than the support's top degree:
+`regpow betti --format json` prints it and the disk cache stores it, and
+it depends only on the generators' lcms, not on which pivots carry
+homology.  `betti_bidegree`, rank-nullity on the full bidegree matrices
+of K ⊗ A/B ranked by rational Gaussian elimination, is kept as an
+independent cross-check.
 
 The disk cache (`REGPOW_CACHE`, or `cache_path=`) is a pure accelerator.
 Its file is one JSON object mapping a key to {"search_bound", "entries"};
@@ -111,7 +116,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import MonomialIdeal, _layout, _lcm_closure, _pack
+from .monomials import MonomialIdeal, _layout, _minimal, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
 # Hashed into every cache key, so records of another format or engine version are misses.
@@ -280,7 +285,7 @@ def _block_betti(faces: int) -> tuple:
     """The nonzero homology dimensions (i, beta_i) of one block, given by its face set.
 
     beta_i = #(faces of size i) - rank d_i - rank d_{i+1}.  Blocks repeat
-    across lattice points and tables, hence the memo on the face set.
+    across points and tables, hence the memo on the face set.
     """
     levels = _levels(faces)
     top = max(levels)
@@ -314,6 +319,21 @@ def _simplices(shifts: tuple, bits: int) -> _Simplices:
     return _Simplices([1 << (s + bits) for s in shifts])
 
 
+def _pivots(exps) -> dict:
+    """alpha -> {d: number of pivots at alpha in dimension d} over the Mayer–Vietoris tree of exps."""
+    pivots = {}
+    stack = [(sorted(exps, key=sum), 0)]
+    while stack:
+        gens, d = stack.pop()
+        for j, m in enumerate(gens):
+            counts = pivots.setdefault(m, {})
+            counts[d] = counts.get(d, 0) + 1
+            if j:
+                child = _minimal([tuple(map(max, g, m)) for g in gens[:j]])
+                stack.append((sorted(child, key=sum), d + 1))
+    return pivots
+
+
 @lru_cache(maxsize=64)
 def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     """(bits, shifts, packed, support): the multigraded Betti numbers of S/ideal.
@@ -322,23 +342,29 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     shifts and fields of bits value bits; packed holds the generators in it.
     support maps each multidegree alpha with Tor(S/ideal)_alpha != 0, packed
     in that layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  It is read off
-    L(ideal) ∪ {0}, each point's block reduced at one vertex as in the
-    module docstring.
+    the pivots of the ideal's Mayer–Vietoris tree, a pivot of several
+    dimensions by its block reduced at one vertex, as in the module docstring.
     """
     nv = ideal.ring.nvars
     top = max(max(map(max, ideal._exps), default=0), 1)
     shifts, guards = _layout(nv, top)
     bits = top.bit_length()
-    value_bits = (1 << bits) - 1
     ones = _pack((1,) * nv, shifts)
     packed = tuple(_pack(e, shifts) for e in ideal._exps)
     simplices = _simplices(shifts, bits)
-    support = {} if ideal.is_unit() else {0: (0, ((0, 1),))}
-    # With q = x^alpha | guards, a generator g divides x^alpha when q - g keeps
-    # every guard bit, and its facet T_g = {j : g_j < alpha_j} is the guard
-    # pattern of (q - g) - ones: a field keeps its guard bit exactly when
-    # alpha_j - g_j - 1 >= 0.  With g = 0 the same gives supp(alpha).
-    for p in _lcm_closure(packed, guards):
+    if ideal.is_unit():
+        return bits, shifts, packed, {}
+    support = {0: (0, ((0, 1),))}
+    for alpha, counts in _pivots(ideal._exps).items():
+        p = _pack(alpha, shifts)
+        if len(counts) == 1:
+            (dim, b), = counts.items()
+            support[p] = (sum(alpha), ((dim + 1, b),))
+            continue
+        # A generator g divides x^alpha when q - g keeps every guard bit, and its
+        # facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
+        # a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.  With
+        # g = 0 the same gives supp(alpha).
         q = p | guards
         full = (q - ones) & guards
         facets, union = [], 0
@@ -351,20 +377,18 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
                 facets.append(T)
                 union |= T
         else:
-            if not union:  # alpha is a generator and K^alpha = {∅}
-                betti = ((1, 1),)
-            else:
-                v = 1 << (union.bit_length() - 1)  # the guard bit of K's last vertex
-                kept = dropped = 0
-                for T in facets:
-                    if T & v:
-                        dropped |= simplices[T ^ v]
-                    else:
-                        kept |= simplices[T]
-                faces = kept & ~dropped
-                betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
+            # alpha is no generator, so K^alpha has a vertex: take the last one's guard bit
+            v = 1 << (union.bit_length() - 1)
+            kept = dropped = 0
+            for T in facets:
+                if T & v:
+                    dropped |= simplices[T ^ v]
+                else:
+                    kept |= simplices[T]
+            faces = kept & ~dropped
+            betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
             if betti:
-                support[p] = (sum((p >> s) & value_bits for s in shifts), betti)
+                support[p] = (sum(alpha), betti)
     return bits, shifts, packed, support
 
 

@@ -36,12 +36,6 @@ borrows from the next, and its guard bit survives exactly when e_i >= h_i:
 
     h divides e  <=>  ((e | G) - h) & G == G.
 
-The same subtraction gives lcms (`_lcm_closure`, which builds lcm
-lattices for `betti`): sel = ((e | G) - h) & G keeps the guard bits of the
-fields with e_i >= h_i, m = sel - (sel >> (w-1)) is the mask of their value
-bits, and lcm(e, h) = (e & m) | (h & ~(m | G)) takes e's field there and
-h's field elsewhere.
-
 The rest is Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2: an
 intersection is generated by the pairwise lcms of the generators, where a
 generator that already lies in the other ideal stands for all of its
@@ -236,28 +230,6 @@ def _socle_top(gens, nvars: int):
         # J : p is taken first: its monomials carry the pivot, so it tends to set a high best early.
         stack.append((high + low, offset[:i] + (offset[i] + k,) + offset[i + 1:], filters))
     return best
-
-
-def _lcm_closure(packed, guards: int) -> set:
-    """Every lcm of a nonempty subset of the packed exponent vectors `packed`, adding one generator at a time.
-
-    The vectors share one `_layout`, with guard mask `guards`; each lcm is
-    the guard-bit identity of the module docstring.  Since a guard bit only
-    pays for the value bits of its own field, sel - (sel >> (w-1)) borrows
-    nothing from a neighbouring field, and the lcm's guard bits are 0 again.
-    """
-    low = (guards & -guards).bit_length() - 1  # w - 1, the place of the guard bit in its field
-    closure = set()
-    for g in packed:
-        fresh = set()
-        add = fresh.add
-        for a in closure:
-            sel = ((a | guards) - g) & guards
-            m = sel - (sel >> low)
-            add((a & m) | (g & ~(m | guards)))
-        closure |= fresh
-        closure.add(g)
-    return closure
 
 
 # ------------------------------------------------------------ values

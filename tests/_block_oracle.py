@@ -1,10 +1,15 @@
 """The engine's former Betti block path, kept as a test oracle for the facet path.
 
-At each point alpha of L(A) ∪ L(B) it tests all 2^r squarefree x^F for
-x^F | x^alpha, x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
+At each point alpha of L(A) ∪ L(B) it tests every squarefree x^F with
+x^F | x^alpha for x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
 divisibility kernel, builds each block's boundary matrices on sorted tuples of
 variables and ranks them by rational Gaussian elimination (`_rank_dense`).
-The lcm lattice comes from a frontier search rather than the one-pass closure.
+The lcm lattice comes from a frontier search.  Tor(S/J) lives on L(J) ∪ {0},
+where the Taylor resolution of S/J lives (Gasharov–Peeva–Welker, "The
+lcm-lattice in monomial resolutions", Math. Res. Lett. 6, 1999), and by the
+long exact Tor sequence Tor(A/B) lives on L(A) ∪ L(B): at 0 it vanishes
+unless A = S, whose lattice is {0}.  So the oracle visits every point where
+a Betti number can be nonzero.
 """
 from __future__ import annotations
 
@@ -39,20 +44,20 @@ def block_levels(alpha, a_exps, b_exps) -> dict:
     b_packed = [_pack(e, shifts) for e in b_exps]
     point = _pack(alpha, shifts)
     levels = {}
+    # x^F divides x^alpha exactly when F lies in supp(alpha)
+    supp = [v for v in range(nv) if alpha[v]]
+    units = [1 << shifts[v] for v in supp]
     for i in range(nv + 1):
-        for F in itertools.combinations(range(nv), i):
-            x_F = _pack([int(v in F) for v in range(nv)], shifts)
-            if not _divides_any((x_F,), point, guards):
-                continue
-            e = point - x_F
+        for F, x_F in zip(itertools.combinations(supp, i), itertools.combinations(units, i)):
+            e = point - sum(x_F)
             if _divides_any(b_packed, e, guards) or not _divides_any(a_packed, e, guards):
                 continue
             levels.setdefault(i, []).append(F)
     return levels
 
 
-def block_betti(levels: dict, nv: int) -> dict:
-    """Homology dimensions {i: beta_i} of one block given by its faces by size."""
+def block_betti(levels: dict, nv: int, rank=_rank_dense) -> dict:
+    """Homology dimensions {i: beta_i} of one block given by its faces by size, with the given exact rank."""
     ranks = {}
     for i in range(1, nv + 1):
         domain = levels.get(i)
@@ -67,7 +72,7 @@ def block_betti(levels: dict, nv: int) -> dict:
                 G = F[:k] + F[k + 1:]
                 if G in index:
                     rows[index[G]][c] = (-1) ** k
-        ranks[i] = _rank_dense(rows)
+        ranks[i] = rank(rows)
     ranks[nv + 1] = 0
     out = {}
     for i in range(nv + 1):

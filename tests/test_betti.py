@@ -37,6 +37,7 @@ from regpow.betti import (
     _compute_betti_table,
     _koszul_rows,
     _levels,
+    _pivots,
     _quotient_betti,
     _rank_dense,
     _rank_int,
@@ -202,7 +203,7 @@ def test_hochster_oracle_matches_engine_betti_tables():
 
 
 def test_lattice_betti_tables_match_box_oracle():
-    """betti_table composes S/A and S/B over their lcm lattices; the oracle visits the whole lcm box."""
+    """betti_table composes S/A and S/B from their Mayer–Vietoris trees; the oracle visits the whole lcm box."""
     rnd = random.Random(53)
     seen = set()
     for nv in range(1, 5):
@@ -240,10 +241,98 @@ def _unpack(p: int, bits: int, shifts: tuple) -> tuple:
     return tuple((p >> s) & ((1 << bits) - 1) for s in shifts)
 
 
-def _support(ideal) -> set:
-    """The multidegrees where Tor(S/ideal) is nonzero, as the per-ideal memo holds them."""
+def _support(ideal) -> dict:
+    """{alpha: (|alpha|, ((i, beta_{i,alpha}), ...))} where Tor(S/ideal) is nonzero, as the per-ideal memo holds it."""
     bits, shifts, _, support = _quotient_betti(ideal)
-    return {_unpack(p, bits, shifts) for p in support}
+    return {_unpack(p, bits, shifts): entry for p, entry in support.items()}
+
+
+def _oracle_support(ideal) -> dict:
+    """{alpha: {i: beta_i}} of S/ideal from the block oracle at 0 and at every point of L(ideal)."""
+    nv = ideal.ring.nvars
+    unit = [(0,) * nv]
+    out = {}
+    for alpha in _block_oracle.lcm_closure_by_frontier(ideal._exps) | {(0,) * nv}:
+        levels = _block_oracle.block_levels(alpha, unit, ideal._exps)
+        betti = _block_oracle.block_betti(levels, nv, _rank_int) if levels else {}
+        if betti:
+            out[alpha] = betti
+    return out
+
+
+def test_tree_support_matches_block_oracle():
+    """The Mayer–Vietoris tree finds every point of supp(S/J) with its Betti numbers.
+
+    The oracle ranks the block of S/J at 0 and at every point of L(J), which
+    holds the whole support (Gasharov–Peeva–Welker).
+    """
+    rnd = random.Random(79)
+    ideals = []
+    for _ in range(70):
+        r = ring(*"xyzwuvt"[:rnd.randint(1, 7)])
+        ideals.append(minimalize(r, [
+            Monomial(r, tuple(rnd.randint(0, 5) for _ in range(r.nvars)))
+            for _ in range(rnd.randint(1, 14))
+        ]))
+    # tops that fill a packed field (7, 15, 63) or open a wider one (8, 16, 64)
+    for k, edge in enumerate((7, 8, 15, 16, 63, 64) * 2):
+        r = ring(*"xyzw"[:1 + k % 4])
+        ideals.append(random_ideal(rnd, r, max_gens=5, max_exp=edge)
+                      + ideal(r, [Monomial(r, (edge,) + (0,) * (r.nvars - 1))]))
+    for spec, top in ((FamilySpec("m2_reg"), 6), (FamilySpec("cycle", t=3), 2), (FamilySpec("cycle", t=4), 1)):
+        presented = build(spec)
+        ideals += [presented.module_of("quotient", n).denominator for n in range(1, top + 1)]
+    r = ring("x", "y")
+    ideals += [zero_ideal(r), unit_ideal(r)]
+    edges = set()
+    for J in ideals:
+        support = _support(J)
+        assert all(j == sum(alpha) for alpha, (j, _) in support.items()), J
+        assert {alpha: dict(betti) for alpha, (_, betti) in support.items()} == _oracle_support(J), J
+        edges.update({7, 8, 15, 16, 63, 64} & set(J.lcm_exponents()))
+    assert edges == {7, 8, 15, 16, 63, 64}
+
+
+def test_tree_pivot_cases():
+    """A pivot of one dimension is read off its count; one of several dimensions is ranked.
+
+    J = (y^3, x^2z^2, x^2yz): x^2y^3z^2 = lcm(y^3, x^2z^2) is a pivot at
+    dimension 1, and again at 2 below the node (x^2yz^2, x^2y^3z); the Taylor
+    complex is not minimal there, and its block ranks to zero.
+    """
+    r = ring("x", "y", "z")
+    cases = {
+        "single pivot": (ideal(r, ["x", "y"]), (1, 1, 0), {1: 1}, {2: 1}),
+        "repeated in one dimension": (ideal(r, ["x*y", "x*z", "y*z"]), (1, 1, 1), {1: 2}, {2: 2}),
+        "ranks to zero": (ideal(r, ["y^3", "x^2*z^2", "x^2*y*z"]), (2, 3, 2), {1: 1, 2: 1}, {}),
+    }
+    for name, (J, alpha, counts, betti) in cases.items():
+        assert _pivots(J._exps)[alpha] == counts, name
+        assert dict(_support(J).get(alpha, (0, ()))[1]) == betti == _oracle_support(J).get(alpha, {}), name
+    # over seeded random ideals: every case occurs, the oracle agrees at
+    # every pivot, and a generator is a pivot once, at dimension 0, so it is
+    # never ranked
+    rnd = random.Random(83)
+    seen = set()
+    for _ in range(300):
+        s, top = ring(*"xyzw"[:rnd.randint(2, 4)]), rnd.randint(1, 3)
+        J = minimalize(s, [Monomial(s, tuple(rnd.randint(0, top) for _ in range(s.nvars)))
+                           for _ in range(rnd.randint(2, 8))])
+        if J.is_unit():
+            continue
+        pivots = _pivots(J._exps)
+        assert all(pivots[g] == {0: 1} for g in J._exps), J
+        support, oracle = _support(J), _oracle_support(J)
+        for alpha, counts in pivots.items():
+            betti = dict(support[alpha][1]) if alpha in support else {}
+            assert betti == oracle.get(alpha, {}), (J, alpha)
+            if len(counts) > 1:
+                seen.add("several dimensions" if betti else "ranks to zero")
+            else:
+                (d, b), = counts.items()
+                assert betti == {d + 1: b}, (J, alpha)
+                seen.add("single pivot" if b == 1 else "repeated in one dimension")
+    assert seen == {"single pivot", "repeated in one dimension", "several dimensions", "ranks to zero"}
 
 
 def test_facet_blocks_match_membership_oracle():

@@ -1,5 +1,4 @@
 """Monomial and monomial-ideal arithmetic, checked against brute-force membership oracles."""
-import itertools
 import pickle
 import random
 
@@ -19,9 +18,8 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.monomials import NEG_INF, _layout, _lcm_closure, _minimal, _pack, _socle_top
+from regpow.monomials import NEG_INF, _minimal, _socle_top
 
-import _block_oracle
 from conftest import (
     all_monomials,
     colon_by_objects,
@@ -188,35 +186,6 @@ def test_maximal_ideal_is_the_ideal_of_the_variables():
     for nv in range(1, 7):
         r = RingSpec(tuple(f"x{i}" for i in range(nv)))
         assert r.maximal_ideal() == ideal(r, [r.var(v) for v in r.variables])
-
-
-def _packed_closure(gens, nv: int, top: int) -> set:
-    """`_lcm_closure` of gens packed in `_layout(nv, top)`, unpacked to exponent tuples."""
-    shifts, guards = _layout(nv, top)
-    value_bits = (1 << top.bit_length()) - 1
-    closure = _lcm_closure([_pack(g, shifts) for g in gens], guards)
-    return {tuple((p >> s) & value_bits for s in shifts) for p in closure}
-
-
-def test_lcm_closure_matches_frontier_oracle():
-    """The packed closure against the tuple frontier, with exponents on the field-width edges."""
-    rnd = random.Random(73)
-    seen = set()
-    for case in range(640):
-        nv = 1 + case % 8
-        cap = (3, 7, 8, 15, 16, 63, 64, 200)[case // 8 % 8]
-        ngens = case // 64 % 8  # 0 to 7 generators
-        gens = [tuple(rnd.choice((0, 1, cap - 1, cap, rnd.randint(0, cap))) for _ in range(nv))
-                for _ in range(ngens)]
-        if gens and case % 3 == 0:
-            gens.append(rnd.choice(gens))  # a repeated generator
-        # the layout top: the largest exponent (at least 1), or the cap
-        top = max(itertools.chain((1,), *gens)) if case % 2 else cap
-        assert _packed_closure(gens, nv, top) == _block_oracle.lcm_closure_by_frontier(gens), (gens, top)
-        seen.add(min(len(set(gens)), 2))
-        if any(top in g for g in gens):
-            seen.add(f"top {top}")
-    assert seen >= {0, 1, 2} | {f"top {t}" for t in (7, 8, 15, 16, 63, 64, 200)}
 
 
 def test_power_of_maximal_ideal():
