@@ -43,6 +43,16 @@ pivot in several dimensions is ranked, by its block at that one point.
 Above dimension 0 a pivot is the lcm of two or more generators, so a
 generator is a pivot once, at dimension 0, and is never ranked.
 
+The tree runs on packed ints.  A key is an exponent vector in the ideal's
+layout `_layout(r, D)`, D the degree of its lcm box (at least 1), with the
+degree in one more field above.  Variable 0 has the highest field, so keys
+compare by degree and then as tuples, and a node is its keys in increasing
+order.  lcm(g, m) keeps m's field where m_i >= g_i, that is where the guard
+bit of (m | G) - g survives, and takes g's elsewhere.  Its degree is the
+sum of its fields, read from the field above them in x * (1 << w) *
+(G >> (w - 1)): no sum of fields exceeds D, so none carries.  A child keeps
+each lcm that no lower kept key divides, by the same guard-bit test.
+
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
 H_{i-1}(K), in face sizes with the empty face included.  A generator
@@ -53,8 +63,10 @@ H(K) = H(K, v * lk_v K), whose chain complex is that of the face set
 del_v K minus lk_v K: the faces of the facets T without v, minus those of
 the T - v for the facets T with v.
 Its homology in face size i is Tor_{i+1}(S/J)_alpha, on one vertex fewer.
-Any vertex of K will do; the last one is cheap to find and ranked the
-least on the families tried (cycle, ehl, m2_reg, m2_sdeg, the corpus).
+Any vertex of K will do; v is the last variable of K, the lowest guard bit
+of the facets' union, which ranked the least on the families tried
+(cycle, ehl, m2_reg, m2_sdeg, the corpus); the first variable made cycle
+t=4 R/I^4 about nine times slower.
 
 The block at alpha comes from facets, one pass over the generators: a
 generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
@@ -66,18 +78,18 @@ the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
 across points and tables, so their homology is memoized on the face set
 in a bounded LRU cache.
 
-A support point is packed in its ideal's own `_layout(r, top)`, top the
-largest generator exponent (at least 1): fields of w bits whose top bit,
-the guard bit, is 0 (mask G).  With q = x^alpha | G, a generator g divides
-x^alpha exactly when q - g keeps every guard bit, and the same subtraction
-gives its facet.  `_quotient_betti` keeps, per ideal, only the points of
-the support with their degree and Betti numbers, in a bounded memo of 64
-ideals keyed by the ideal with its ring.  Neighbouring modules share
+A support point is its tree key without the degree field, in its ideal's
+own `_layout(r, D)`: fields of w bits whose top bit, the guard bit, is 0
+(mask G).  With q = x^alpha | G, a generator g divides x^alpha exactly
+when q - g keeps every guard bit, and the same subtraction gives its facet.
+`_quotient_betti` keeps, per ideal, only the points of the support with
+their degree and Betti numbers, in a bounded memo of 64 ideals keyed by
+the ideal with its ring.  Neighbouring modules share
 ideals (J_n is the denominator of R/I^n and of I^(n-1)/I^n and the
 numerator of I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each
 tree once.  A table meets the two supports in the wider of the two
-layouts, which is the layout of its lcm box, and repacks only the
-narrower ideal's support and generators.
+layouts.  It repacks the narrower ideal's support only if it is nonempty,
+and its generators only if the supports share a point.
 
 Every pivot lies in the componentwise-lcm box of the generators, so the
 box degree plus r still bounds every degree j with a nonzero Betti number.
@@ -116,7 +128,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import MonomialIdeal, _layout, _minimal, _pack
+from .monomials import MonomialIdeal, _layout, _pack
 
 CACHE_ENV = "REGPOW_CACHE"
 # Hashed into every cache key, so records of another format or engine version are misses.
@@ -319,18 +331,46 @@ def _simplices(shifts: tuple, bits: int) -> _Simplices:
     return _Simplices([1 << (s + bits) for s in shifts])
 
 
-def _pivots(exps) -> dict:
-    """alpha -> {d: number of pivots at alpha in dimension d} over the Mayer–Vietoris tree of exps."""
+def _pivots(roots: list, guards: int, width: int) -> dict:
+    """key -> {d: number of pivots at the key in dimension d} over the Mayer–Vietoris tree of roots.
+
+    A key is a packed exponent vector in fields of `width` bits under the
+    guard mask `guards`, with its degree in one more field above them;
+    roots are the generators' keys in increasing order, which is by degree
+    and then by tuple.
+    """
+    shift = width - 1
+    field = (1 << width) - 1
+    exps = (1 << guards.bit_length()) - 1
+    # x * up holds the sum of x's fields in the field above them
+    up = (guards >> shift) << width
+    degree = field << guards.bit_length()
     pivots = {}
-    stack = [(sorted(exps, key=sum), 0)]
+    stack = [(roots, 0)]
     while stack:
         gens, d = stack.pop()
         for j, m in enumerate(gens):
             counts = pivots.setdefault(m, {})
             counts[d] = counts.get(d, 0) + 1
-            if j:
-                child = _minimal([tuple(map(max, g, m)) for g in gens[:j]])
-                stack.append((sorted(child, key=sum), d + 1))
+            if not j:
+                continue
+            # lcm(g, m) keeps m's field where m_i >= g_i (its guard bit survives
+            # (m | G) - g) and takes g's elsewhere; then its degree field is refilled
+            q = m | guards
+            lcms = set()
+            for g in gens[:j]:
+                x = (m ^ ((m ^ g) & ~((((q - g) & guards) >> shift) * field))) & exps
+                lcms.add(x | ((x * up) & degree))
+            # a proper divisor has a lower key, so each key is tested against the kept ones
+            child = []
+            for p in sorted(lcms):
+                t = p | guards
+                for h in child:
+                    if (t - h) & guards == guards:
+                        break
+                else:
+                    child.append(p)
+            stack.append((child, d + 1))
     return pivots
 
 
@@ -338,28 +378,33 @@ def _pivots(exps) -> dict:
 def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     """(bits, shifts, packed, support): the multigraded Betti numbers of S/ideal.
 
-    The ideal's own layout `_layout(nvars, max(top, 1))` has the given
-    shifts and fields of bits value bits; packed holds the generators in it.
-    support maps each multidegree alpha with Tor(S/ideal)_alpha != 0, packed
-    in that layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  It is read off
-    the pivots of the ideal's Mayer–Vietoris tree, a pivot of several
-    dimensions by its block reduced at one vertex, as in the module docstring.
+    The ideal's layout `_layout(r, D)`, D the degree of its lcm box (at
+    least 1), has the given shifts and fields of bits value bits, room for
+    any degree in the box; packed holds the generators in it.  support maps
+    each multidegree alpha with Tor(S/ideal)_alpha != 0, packed in that
+    layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  Both are read off
+    the keys of the ideal's Mayer–Vietoris tree: the key less its degree
+    field, and that field.  A pivot of several dimensions is ranked by its
+    block reduced at one vertex, as in the module docstring.  The unit
+    ideal has no support and gets (0, (), (), {}) before any packing.
     """
-    nv = ideal.ring.nvars
-    top = max(max(map(max, ideal._exps), default=0), 1)
-    shifts, guards = _layout(nv, top)
-    bits = top.bit_length()
-    ones = _pack((1,) * nv, shifts)
-    packed = tuple(_pack(e, shifts) for e in ideal._exps)
-    simplices = _simplices(shifts, bits)
     if ideal.is_unit():
-        return bits, shifts, packed, {}
+        return 0, (), (), {}
+    box = max(sum(ideal.lcm_exponents()), 1)
+    shifts, guards = _layout(ideal.ring.nvars, box)
+    bits = box.bit_length()
+    above = guards.bit_length()
+    exps = (1 << above) - 1
+    roots = sorted(_pack(e, shifts) | (sum(e) << above) for e in ideal._exps)
+    packed = tuple(g & exps for g in roots)
+    ones = guards >> bits
+    simplices = _simplices(shifts, bits)
     support = {0: (0, ((0, 1),))}
-    for alpha, counts in _pivots(ideal._exps).items():
-        p = _pack(alpha, shifts)
+    for key, counts in _pivots(roots, guards, bits + 1).items():
+        p = key & exps
         if len(counts) == 1:
             (dim, b), = counts.items()
-            support[p] = (sum(alpha), ((dim + 1, b),))
+            support[p] = (key >> above, ((dim + 1, b),))
             continue
         # A generator g divides x^alpha when q - g keeps every guard bit, and its
         # facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
@@ -377,8 +422,9 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
                 facets.append(T)
                 union |= T
         else:
-            # alpha is no generator, so K^alpha has a vertex: take the last one's guard bit
-            v = 1 << (union.bit_length() - 1)
+            # alpha is no generator, so K^alpha has a vertex: take the last
+            # variable's, the lowest guard bit
+            v = union & -union
             kept = dropped = 0
             for T in facets:
                 if T & v:
@@ -388,7 +434,7 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
             faces = kept & ~dropped
             betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
             if betti:
-                support[p] = (sum(alpha), betti)
+                support[p] = (key >> above, betti)
     return bits, shifts, packed, support
 
 
@@ -401,16 +447,14 @@ def _repack(points, bits: int, shifts: tuple, wide: tuple) -> list:
 def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     """Yield (alpha, |alpha|, ((i, beta_i), ...)) for each multidegree alpha with Tor(A/B)_alpha != 0.
 
-    alpha is packed in the layout of the lcm box of A and B, the wider of
-    the two ideals' layouts; the narrower ideal is repacked into it.
+    alpha is packed in the wider of the two ideals' layouts; the narrower
+    ideal is repacked into it as far as it is needed.
     """
     a_bits, a_shifts, a_packed, a_support = _quotient_betti(A)
     b_bits, b_shifts, b_packed, b_support = _quotient_betti(B)
-    if a_bits < b_bits:
-        a_packed = _repack(a_packed, a_bits, a_shifts, b_shifts)
+    if a_bits < b_bits and a_support:
         a_support = dict(zip(_repack(a_support, a_bits, a_shifts, b_shifts), a_support.values()))
-    elif b_bits < a_bits:
-        b_packed = _repack(b_packed, b_bits, b_shifts, a_shifts)
+    elif b_bits < a_bits and b_support:
         b_support = dict(zip(_repack(b_support, b_bits, b_shifts, a_shifts), b_support.values()))
     # Off supp(S/A) Tor_i(A/B) is Tor_i(S/B), and off supp(S/B) it is
     # Tor_{i+1}(S/A); only the common points need the relative block.
@@ -423,10 +467,15 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     for p, (j, betti) in a_support.items():
         if p not in b_support:
             yield p, j, tuple((i - 1, b) for i, b in betti)
-    nv = A.ring.nvars
+    if not shared:
+        return
+    if a_bits < b_bits:
+        a_packed = _repack(a_packed, a_bits, a_shifts, b_shifts)
+    elif b_bits < a_bits:
+        b_packed = _repack(b_packed, b_bits, b_shifts, a_shifts)
     bits = max(a_bits, b_bits)
-    shifts, guards = _layout(nv, (1 << bits) - 1)
-    ones = _pack((1,) * nv, shifts)
+    shifts, guards = _layout(A.ring.nvars, (1 << bits) - 1)
+    ones = guards >> bits
     simplices = _simplices(shifts, bits)
     # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
     # faces F with x^(alpha - F) in A and not in B, from the facets as above.

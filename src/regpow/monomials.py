@@ -28,9 +28,11 @@ The lazy ones go into the instance `__dict__` through `object.__setattr__`
 takes a lock on every first access.
 
 Divisibility in the kernel is one big-integer subtraction.  With
-w = bit_length(largest exponent) + 1, an exponent vector e packs into
-fields of w bits: e_i sits in bits [w*i, w*i + w - 1) and the top bit of
-each field, its guard bit, stays 0.  Let G be the mask of all guard bits.
+w = bit_length(largest exponent) + 1, an exponent vector e of r entries
+packs into fields of w bits: e_i sits in bits [w*(r-1-i), w*(r-i) - 1),
+variable 0 in the highest field, and the top bit of each field, its guard
+bit, stays 0.  So packed vectors compare as integers the way their tuples
+compare.  Let G be the mask of all guard bits.
 In ((e | G) - h) field i holds 2^(w-1) + e_i - h_i >= 0, so no field
 borrows from the next, and its guard bit survives exactly when e_i >= h_i:
 
@@ -73,9 +75,14 @@ class MonomialSyntaxError(ValueError):
 
 @functools.lru_cache(maxsize=256)
 def _layout(nvars: int, top: int) -> tuple:
-    """Field shifts and guard mask for packing nvars exponents, each at most top."""
+    """Field shifts and guard mask for packing nvars exponents, each at most top.
+
+    Fields are top.bit_length() + 1 bits wide, the last one a guard bit.
+    Variable 0 gets the highest field, so the integer order of packed
+    vectors is the order of their tuples.
+    """
     width = top.bit_length() + 1
-    shifts = tuple(range(0, width * nvars, width))
+    shifts = tuple(range(width * (nvars - 1), -1, -width))
     return shifts, sum(1 << (s + width - 1) for s in shifts)
 
 
@@ -117,6 +124,11 @@ def _minimal(exps, inert=frozenset()) -> list:
         kept += fresh
     out.sort()
     return out
+
+
+def _products(a, b) -> list:
+    """The exponent tuples g + h of every product of a tuple of a with one of b."""
+    return [tuple(map(add, g, h)) for g in a for h in b]
 
 
 def _intersect(a, b) -> list:
@@ -468,12 +480,15 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
+        if not other._exps:
+            return self
+        if not self._exps:
+            return other
         return MonomialIdeal(self.ring, _minimal(self._exps + other._exps))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        products = [tuple(map(add, g, h)) for g in self._exps for h in other._exps]
-        return MonomialIdeal(self.ring, _minimal(products))
+        return MonomialIdeal(self.ring, _minimal(_products(self._exps, other._exps)))
 
     def scale(self, u: Monomial) -> "MonomialIdeal":
         """The ideal u * self."""

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .betti import deferred_cache_writes, regularity
 from .modules import NEG_INF, Subquotient
-from .monomials import MonomialIdeal, RingMismatchError, _socle_top, unit_ideal
+from .monomials import MonomialIdeal, RingMismatchError, _minimal, _products, _socle_top, unit_ideal
 
 
 class InputError(ValueError):
@@ -87,13 +87,14 @@ class PresentedIdeal:
 
         For n >= 2 it is (lift^(n-1) + quot) * lift + quot, because with
         L = lift and Q = quot, (L^(n-1) + Q) L + Q = L^n + QL + Q = L^n + Q
-        (QL lies in Q).
+        (QL lies in Q).  The products and quot are minimalized together, once.
         """
         if n < 2:
             return self.lift.power(n) + self.quot
         for k in range(2, n - 1):
             self._lifted_power(k)  # fill the memo upward, so the call below recurses one level
-        return self._lifted_power(n - 1) * self.lift + self.quot
+        products = _products(self._lifted_power(n - 1)._exps, self.lift._exps)
+        return MonomialIdeal(self.ring, _minimal(products + list(self.quot._exps)))
 
     def _power(self, n: int) -> MonomialIdeal:
         """lift^n + quot, after checking that n >= 1 and that I^n != 0 in R."""

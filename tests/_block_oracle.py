@@ -4,7 +4,9 @@ At each point alpha of L(A) ∪ L(B) it tests every squarefree x^F with
 x^F | x^alpha for x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
 divisibility kernel, builds each block's boundary matrices on sorted tuples of
 variables and ranks them by rational Gaussian elimination (`_rank_dense`).
-The lcm lattice comes from a frontier search.  Tor(S/J) lives on L(J) ∪ {0},
+The lcm lattice comes from a frontier search.  `pivots` is the engine's
+former Mayer–Vietoris tree on exponent tuples, kept as the oracle of the
+packed tree.  Tor(S/J) lives on L(J) ∪ {0},
 where the Taylor resolution of S/J lives (Gasharov–Peeva–Welker, "The
 lcm-lattice in monomial resolutions", Math. Res. Lett. 6, 1999), and by the
 long exact Tor sequence Tor(A/B) lives on L(A) ∪ L(B): at 0 it vanishes
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from regpow.betti import _rank_dense
-from regpow.monomials import _divides_any, _layout, _pack
+from regpow.monomials import _divides_any, _layout, _minimal, _pack
 
 
 def lcm_closure_by_frontier(gens) -> set:
@@ -33,6 +35,30 @@ def lcm_closure_by_frontier(gens) -> set:
                     fresh.append(point)
         frontier = fresh
     return closure
+
+
+def _by_degree(e) -> tuple:
+    return sum(e), e
+
+
+def pivots(exps) -> dict:
+    """alpha -> {d: number of pivots at alpha in dimension d} over the Mayer–Vietoris tree of exps.
+
+    A node holds its generators sorted by degree, ties in tuple order; the
+    child of its j-th generator m (j > 0) is the minimal lcm(g, m) of the
+    generators g before it.
+    """
+    out = {}
+    stack = [(sorted(exps, key=_by_degree), 0)]
+    while stack:
+        gens, d = stack.pop()
+        for j, m in enumerate(gens):
+            counts = out.setdefault(m, {})
+            counts[d] = counts.get(d, 0) + 1
+            if j:
+                child = _minimal([tuple(map(max, g, m)) for g in gens[:j]])
+                stack.append((sorted(child, key=_by_degree), d + 1))
+    return out
 
 
 def block_levels(alpha, a_exps, b_exps) -> dict:

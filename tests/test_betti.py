@@ -241,6 +241,25 @@ def _unpack(p: int, bits: int, shifts: tuple) -> tuple:
     return tuple((p >> s) & ((1 << bits) - 1) for s in shifts)
 
 
+def _tree_pivots(ideal) -> list:
+    """The packed tree's (alpha, {d: count}) items of the ideal, in tree order, decoded to tuples.
+
+    The roots are packed here as `_quotient_betti` packs them: fields with
+    room for the degree of the lcm box, the degree in the field above, in
+    increasing order.
+    """
+    box = max(sum(ideal.lcm_exponents()), 1)
+    shifts, guards = _layout(ideal.ring.nvars, box)
+    bits, above = box.bit_length(), guards.bit_length()
+    roots = sorted(sum(a << s for a, s in zip(e, shifts)) | (sum(e) << above) for e in ideal._exps)
+    items = []
+    for key, counts in _pivots(roots, guards, bits + 1).items():
+        alpha = _unpack(key, bits, shifts)
+        assert key >> above == sum(alpha), (ideal, alpha)
+        items.append((alpha, counts))
+    return items
+
+
 def _support(ideal) -> dict:
     """{alpha: (|alpha|, ((i, beta_{i,alpha}), ...))} where Tor(S/ideal) is nonzero, as the per-ideal memo holds it."""
     bits, shifts, _, support = _quotient_betti(ideal)
@@ -307,7 +326,7 @@ def test_tree_pivot_cases():
         "ranks to zero": (ideal(r, ["y^3", "x^2*z^2", "x^2*y*z"]), (2, 3, 2), {1: 1, 2: 1}, {}),
     }
     for name, (J, alpha, counts, betti) in cases.items():
-        assert _pivots(J._exps)[alpha] == counts, name
+        assert dict(_tree_pivots(J))[alpha] == counts, name
         assert dict(_support(J).get(alpha, (0, ()))[1]) == betti == _oracle_support(J).get(alpha, {}), name
     # over seeded random ideals: every case occurs, the oracle agrees at
     # every pivot, and a generator is a pivot once, at dimension 0, so it is
@@ -320,7 +339,7 @@ def test_tree_pivot_cases():
                            for _ in range(rnd.randint(2, 8))])
         if J.is_unit():
             continue
-        pivots = _pivots(J._exps)
+        pivots = dict(_tree_pivots(J))
         assert all(pivots[g] == {0: 1} for g in J._exps), J
         support, oracle = _support(J), _oracle_support(J)
         for alpha, counts in pivots.items():
@@ -333,6 +352,95 @@ def test_tree_pivot_cases():
                 assert betti == {d + 1: b}, (J, alpha)
                 seen.add("single pivot" if b == 1 else "repeated in one dimension")
     assert seen == {"single pivot", "repeated in one dimension", "several dimensions", "ranks to zero"}
+
+
+def test_packed_tree_matches_tuple_tree():
+    """The packed Mayer–Vietoris tree is the tuple tree: the same pivots and counts, found in the same order."""
+    rnd = random.Random(89)
+    ideals = []
+    for _ in range(320):
+        r = ring(*"xyzwuvts"[:rnd.randint(1, 8)])
+        top = rnd.choice((1, 2, 3, 5))
+        ideals.append(minimalize(r, [
+            Monomial(r, tuple(rnd.randint(0, top) for _ in range(r.nvars)))
+            for _ in range(rnd.randint(1, 10))
+        ]))
+    # tops that fill a value field (7, 15, 63) or open a wider one (8, 16, 64);
+    # on one variable the field holds top itself, on more the box degree
+    for k, edge in enumerate((7, 8, 15, 16, 63, 64) * 2):
+        r = ring(*"xyzw"[:1 + k % 4])
+        ideals.append(random_ideal(rnd, r, max_gens=6, max_exp=edge)
+                      + ideal(r, [Monomial(r, (edge,) + (0,) * (r.nvars - 1))]))
+        # and box degrees on those edges: the lcm box (edge - 4, 2, 2)
+        s = ring("x", "y", "z")
+        ideals.append(minimalize(s, [Monomial(s, e) for e in ((edge - 4, 0, 0), (0, 2, 0), (0, 0, 2))] + [
+            Monomial(s, (rnd.randint(0, edge - 5),) + rnd.choice(((1, 0), (0, 1), (1, 1)))) for _ in range(4)
+        ]))
+    for spec, top in ((FamilySpec("m2_reg"), 6), (FamilySpec("cycle", t=3), 3), (FamilySpec("cycle", t=4), 2)):
+        presented = build(spec)
+        ideals += [presented.module_of("quotient", n).denominator for n in range(1, top + 1)]
+    r = ring("x", "y")
+    ideals += [zero_ideal(r), unit_ideal(r)]
+    tops, boxes = set(), set()
+    for J in ideals:
+        assert _tree_pivots(J) == list(_block_oracle.pivots(J._exps).items()), J
+        tops.update({7, 8, 15, 16, 63, 64} & set(J.lcm_exponents()))
+        boxes.update({7, 8, 15, 16, 63, 64} & {sum(J.lcm_exponents())})
+    assert tops == boxes == {7, 8, 15, 16, 63, 64}
+
+
+def test_reduction_uses_the_last_variable(monkeypatch):
+    """The block of S/J at a pivot of several dimensions is shrunk at the last variable of its facets.
+
+    Every vertex gives the same homology, so only the blocks handed to
+    `_block_betti` show which vertex was used; they are rebuilt here from
+    the facets T_g = {j : g_j < alpha_j} with v = max of their union.
+    """
+    ranked = []
+
+    def recording(faces):
+        ranked.append(faces)
+        return _block_betti(faces)
+
+    monkeypatch.setattr(importlib.import_module("regpow.betti"), "_block_betti", recording)
+    rnd = random.Random(97)
+    ideals = []
+    for _ in range(60):
+        s = ring(*"xyzwu"[:rnd.randint(3, 5)])
+        ideals.append(minimalize(s, [Monomial(s, tuple(rnd.randint(0, 3) for _ in range(s.nvars)))
+                                     for _ in range(rnd.randint(3, 8))]))
+    presented = build(FamilySpec("cycle", t=3))
+    ideals += [presented.module_of("quotient", n).denominator for n in (1, 2)]
+    checked = 0
+    for J in ideals:
+        if J.is_unit():
+            continue
+        s = J.ring
+        ranked.clear()
+        _quotient_betti.__wrapped__(J)
+        expected = []
+        for alpha, counts in _block_oracle.pivots(J._exps).items():
+            if len(counts) == 1:
+                continue
+            facets = [sum(1 << j for j in range(s.nvars) if g[j] < alpha[j])
+                      for g in J._exps if all(map(int.__le__, g, alpha))]
+            if any(T == sum(1 << j for j in range(s.nvars) if alpha[j]) for T in facets):
+                continue  # alpha is a generator times a face: K^alpha is the whole simplex
+            union = 0
+            for T in facets:
+                union |= T
+            v = 1 << (union.bit_length() - 1)
+            kept = dropped = 0
+            for T in facets:
+                if T & v:
+                    dropped |= _simplex(T ^ v)
+                else:
+                    kept |= _simplex(T)
+            if kept & ~dropped:
+                expected.append(kept & ~dropped)
+        assert ranked == expected, J
+        checked += len(expected)
+    assert checked >= 50
 
 
 def test_facet_blocks_match_membership_oracle():

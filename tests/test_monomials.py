@@ -203,6 +203,17 @@ def test_sum_example():
     assert ideal(r, ["x^3"]) + ideal(r, ["x*y^2"]) == ideal(r, ["x^3", "x*y^2"])
 
 
+def test_sum_with_the_zero_ideal_is_the_other_operand():
+    r, s = ring("x", "y"), ring("x", "z")
+    I, zero = ideal(r, ["x^3", "x*y^2"]), zero_ideal(r)
+    assert I + zero is I
+    assert zero + I is I
+    assert (zero + zero).is_zero()
+    for mixed in (lambda: I + zero_ideal(s), lambda: zero_ideal(s) + I):
+        with pytest.raises(RingMismatchError):
+            mixed()
+
+
 def test_intersection_examples():
     r = ring("x", "y")
     assert ideal(r, ["x"]).intersect(ideal(r, ["y"])) == ideal(r, ["x*y"])
