@@ -4,14 +4,15 @@ At each point alpha of L(A) ∪ L(B) it tests every squarefree x^F with
 x^F | x^alpha for x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
 divisibility kernel, builds each block's boundary matrices on sorted tuples of
 variables and ranks them by rational Gaussian elimination (`_rank_dense`).
-The lcm lattice comes from a frontier search.  `pivots` is the engine's
-former Mayer–Vietoris tree on exponent tuples, kept as the oracle of the
-packed tree.  Tor(S/J) lives on L(J) ∪ {0},
+The lcm lattice comes from a frontier search.  Tor(S/J) lives on L(J) ∪ {0},
 where the Taylor resolution of S/J lives (Gasharov–Peeva–Welker, "The
 lcm-lattice in monomial resolutions", Math. Res. Lett. 6, 1999), and by the
 long exact Tor sequence Tor(A/B) lives on L(A) ∪ L(B): at 0 it vanishes
 unless A = S, whose lattice is {0}.  So the oracle visits every point where
 a Betti number can be nonzero.
+
+`pivots` is the engine's former Mayer–Vietoris tree on exponent tuples,
+kept as the oracle of the packed tree.
 """
 from __future__ import annotations
 

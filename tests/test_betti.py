@@ -425,7 +425,7 @@ def test_reduction_uses_the_last_variable(monkeypatch):
             facets = [sum(1 << j for j in range(s.nvars) if g[j] < alpha[j])
                       for g in J._exps if all(map(int.__le__, g, alpha))]
             if any(T == sum(1 << j for j in range(s.nvars) if alpha[j]) for T in facets):
-                continue  # alpha is a generator times a face: K^alpha is the whole simplex
+                continue  # a facet is all of supp(alpha): K^alpha is the whole simplex
             union = 0
             for T in facets:
                 union |= T
