@@ -49,15 +49,20 @@ not built as I : m but searched by pivot splits, Roune's slice recursion
 (B. H. Roune, "The slice algorithm for irreducible decomposition of
 monomial ideals", J. Symbolic Comput. 44, 2009; Miller–Sturmfels,
 *Combinatorial Commutative Algebra*, GTM 227, Ch. 5), cut down to the
-largest degree.
+largest degree.  The search packs the generators once per call, with
+fields wide enough for the degree of the lcm box, so that every degree it
+forms is read with one multiplication, and builds each J : x_i^k from the
+packed keys (`_split`) with no repacking.  A corner cut drops a node whose
+bound exceeds the best degree by one when x^(lcm - 1) lies in the ideal.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add, le, lshift
+from operator import add, lshift, or_
 
 NEG_INF = float("-inf")  # the degree of the zero module; absorbing under max and +
 
@@ -99,13 +104,9 @@ def _divides_any(packed, p: int, guards: int) -> bool:
     return False
 
 
-def _minimal(exps, inert=frozenset()) -> list:
-    """The minimal tuples of exps and inert under divisibility, deduplicated and sorted.
-
-    A tuple of the set `inert` must divide no other tuple of either: it is
-    tested against the others but never kept as a divisor.
-    """
-    unique = sorted({*exps, *inert}, key=sum)
+def _minimal(exps) -> list:
+    """The minimal tuples of exps under divisibility, deduplicated and sorted."""
+    unique = sorted(set(exps), key=sum)
     if len(unique) < 2 or not any(unique[0]):
         return unique[:1]
     shifts, guards = _layout(len(unique[0]), max(map(max, unique)))
@@ -119,8 +120,7 @@ def _minimal(exps, inert=frozenset()) -> list:
             p = _pack(e, shifts)
             if not _divides_any(kept, p, guards):
                 out.append(e)
-                if not inert or e not in inert:
-                    fresh.append(p)
+                fresh.append(p)
         kept += fresh
     out.sort()
     return out
@@ -162,6 +162,49 @@ def _colon_ideal(gens, divisors) -> list:
     return result
 
 
+def _split(keys, s: int, k: int, guards: int, width: int) -> tuple:
+    """(J + (p), J : p) for J generated by the socle-search keys `keys` and p = x_i^k.
+
+    x_i's field starts at bit s; the J : p keys are minimal, and J + (p)
+    needs no minimalization (see `_socle_top`).  A key g with g_i > k goes
+    to J : p as g - k*x_i; one with 0 < g_i <= k as g with field i cleared,
+    and one with g_i = 0 unchanged.  Only the lowered ones can divide
+    another candidate, and only one of lower degree, so each candidate is
+    tested against the lowered survivors of lower degree alone.
+    """
+    field = (1 << width) - 1
+    above = guards.bit_length()
+    unit = (1 << s) | (1 << above)  # x_i with its degree
+    p = k * unit
+    plus, colon, lowered, unchanged = [], [], [], []
+    for g in keys:
+        a = (g >> s) & field
+        if a > k:
+            colon.append(g - p)
+        elif a:
+            lowered.append(g - a * unit)
+            if a < k:
+                plus.append(g)
+        else:
+            unchanged.append(g)
+            plus.append(g)
+    plus.append(p)
+    # sorted keys run by degree, the field above the exponents
+    lowered.sort()
+    low, fresh, level = [], [], 0
+    for c in lowered:
+        if c >> above != level:
+            low += fresh
+            fresh, level = [], c >> above
+        if not _divides_any(low, c, guards):
+            fresh.append(c)
+    low += fresh
+    for c in unchanged:
+        if not _divides_any(low[:bisect_left(low, c >> above << above)], c, guards):
+            colon.append(c)
+    return plus, colon + low
+
+
 def _socle_top(gens, nvars: int):
     """The largest degree of a maximal standard monomial of (gens); NEG_INF if there is none.
 
@@ -186,8 +229,8 @@ def _socle_top(gens, nvars: int):
     both had g_i <= k, so only those are minimalized.  Among them a g with
     g_i = 0 is unchanged, and if it divided the lowered form of another
     generator h it would divide h itself; so only the ones with 0 < g_i <= k
-    serve as divisors.  Both sides have a smaller total degree of non-pure
-    generators than J, so the splits end.
+    serve as divisors (`_split`).  Both sides have a smaller total degree of
+    non-pure generators than J, so the splits end.
 
     Base cases: if a variable x_j divides no generator, u*x_j in J forces u
     in J, so msm(J) is empty (this covers the zero and the unit ideal).  If
@@ -199,48 +242,79 @@ def _socle_top(gens, nvars: int):
     but not u, so u_j = g_j - 1 <= lcm_j - 1.  A node whose msm elements are
     offset * u (the offset is the product of the pivots above it) therefore
     cannot beat |offset| + sum_j (lcm_j - 1), and it is cut when that is at
-    most the best degree found.  The `w*x_i in J` tests of the J + (p) sides
-    above a node ride down to the leaves as filters (i, o_i + k - 1, o, J),
-    o the offset of the split, and are checked on each leaf's monomial.
+    most the best degree found.  Corner cut: when the bound is best + 1,
+    only u = lcm - 1 could beat best, so the node is also cut when some
+    generator divides x^(lcm - 1).  The `w*x_i in J` tests of the J + (p)
+    sides above a node ride down to the leaves as filters (i, o_i + k - 1,
+    o, J), o the offset of the split, and are checked on each leaf's monomial.
 
-    The pivot variable is the one in most non-pure generators, and k is the
-    median of its positive exponents there.
+    The pivot variable is the one in most non-pure generators (the first on
+    ties), and k is the median of its positive exponents there.
+
+    The search runs on keys packed once per call: the exponents in
+    `_layout(nvars, max(D, n))`, D the degree of the root's lcm box and n its
+    number of generators, and the key's degree in one more field above
+    them, so sorted keys run by degree.  No field overflows.  offset + lcm
+    never exceeds the root's lcm (J : p moves k from the lcm to the offset,
+    J + (p) adds only p, and k <= lcm_i), so its fields sum to at most D and
+    its degree is read with one multiplication.  No node has more generators
+    than the root, so the per-variable counts of non-pure generators, summed
+    from their guard bits, fit a field.  A node first ORs its keys, whose
+    fields are all nonzero exactly when every variable divides a generator;
+    then one pass over the keys gives the lcm (the guard-bit select of
+    `betti._pivots`), the non-pure keys (those where (g | G) - ones keeps
+    two guard bits or more) and the counts.
     """
+    if not gens:
+        return NEG_INF
+    top = max(sum(map(max, zip(*gens))), len(gens))
+    shifts, guards = _layout(nvars, top)
+    width = top.bit_length() + 1
+    shift = width - 1
+    field = (1 << width) - 1
+    above = guards.bit_length()
+    exps = (1 << above) - 1
+    ones = guards >> shift
+    up = ones << width  # x * up holds the sum of x's fields in the field above them
     best = NEG_INF
-    pure = nvars - 1  # a pure power has this many zero exponents
-    stack = [(gens, (0,) * nvars, None)]
+    stack = [([_pack(e, shifts) | (sum(e) << above) for e in gens], 0, None)]
     while stack:
-        gens, offset, filters = stack.pop()
-        if not gens:
+        keys, offset, filters = stack.pop()
+        if ((functools.reduce(or_, keys) | guards) - ones) & guards != guards:
+            continue  # a variable divides no generator
+        # nz has the guard bits of g's nonzero fields
+        lcm = nonpure = 0
+        mixed = []
+        for g in keys:
+            lcm ^= (lcm ^ g) & ~(((((lcm | guards) - g) & guards) >> shift) * field)
+            nz = ((g | guards) - ones) & guards
+            if nz & (nz - 1):
+                mixed.append(g)
+                nonpure += nz
+        lcm &= exps
+        bound = ((((offset + lcm) * up) >> above) & field) - nvars
+        if bound <= best:
             continue
-        lcm = list(map(max, zip(*gens)))
-        if not all(lcm) or sum(offset) + sum(lcm) - nvars <= best:
-            continue
-        mixed = [g for g in gens if g.count(0) < pure]
         if not mixed:
-            u = [o + a - 1 for o, a in zip(offset, lcm)]
+            u = offset + lcm - ones
             while filters is not None:
-                (i, edge, base, split), filters = filters
-                if u[i] == edge:
-                    w = [a - b for a, b in zip(u, base)]
-                    w[i] += 1
-                    if not any(all(map(le, g, w)) for g in split):
-                        break
+                (s, edge, base, split), filters = filters
+                if (u >> s) & field == edge and not _divides_any(split, u - base + (1 << s), guards):
+                    break
             else:
-                best = sum(u)
+                best = bound
             continue
-        columns = list(zip(*mixed))
-        i = max(range(nvars), key=lambda j: len(columns[j]) - columns[j].count(0))
-        exps = sorted(a for a in columns[i] if a)
-        k = exps[len(exps) // 2]
-        plus = [g for g in gens if g[i] < k]
-        plus.append(tuple(k if j == i else 0 for j in range(nvars)))
-        stack.append((plus, offset, ((i, offset[i] + k - 1, offset, gens), filters)))
-        high = [g[:i] + (g[i] - k,) + g[i + 1:] for g in gens if g[i] > k]
-        lowered = [g[:i] + (0,) + g[i + 1:] for g in gens if 0 < g[i] <= k]
-        low = _minimal(lowered, inert=frozenset(g for g in gens if not g[i]))
+        if bound - 1 <= best and _divides_any(keys, lcm - ones, guards):
+            continue
+        counts = nonpure >> shift
+        # a larger shift is an earlier variable, so ties go to the first one
+        c, s = max([((counts >> s) & field, s) for s in shifts])
+        column = sorted([(g >> s) & field for g in mixed])
+        k = column[len(column) - c + c // 2]
+        plus, colon = _split(keys, s, k, guards, width)
+        stack.append((plus, offset, ((s, ((offset >> s) & field) + k - 1, offset, keys), filters)))
         # J : p is taken first: its monomials carry the pivot, so it tends to set a high best early.
-        stack.append((high + low, offset[:i] + (offset[i] + k,) + offset[i + 1:], filters))
+        stack.append((colon, offset + (k << s), filters))
     return best
 
 
@@ -452,27 +526,28 @@ class MonomialIdeal:
         shifts, guards = _layout(self.ring.nvars, top)
         return top, shifts, guards, tuple(_pack(e, shifts) for e in self._exps)
 
-    def _outside(self, exps) -> list:
-        """The exponent tuples in exps (of this ring) whose monomials are not in the ideal."""
+    def _outside(self, exps):
+        """The exponent tuples in exps (of this ring) whose monomials are not in the ideal, one by one."""
         top, shifts, guards, packed = self._packed
         if not top:  # the zero ideal contains nothing, the unit ideal everything
-            return [] if packed else list(exps)
-        out = []
+            if not packed:
+                yield from exps
+            return
         for e in exps:
             # no generator exponent exceeds top, so capping e at top keeps divisibility
             capped = e if max(e) <= top else [min(x, top) for x in e]
             if not _divides_any(packed, _pack(capped, shifts), guards):
-                out.append(e)
-        return out
+                yield e
 
     def contains(self, u: Monomial) -> bool:
         if u.ring != self.ring:
             raise RingMismatchError("monomial from a different ring")
-        return not self._outside((u.exponents,))
+        return next(self._outside((u.exponents,)), None) is None
 
     def is_subset_of(self, other: "MonomialIdeal") -> bool:
+        """Whether every generator lies in other; the scan stops at the first one outside."""
         self._check(other)
-        return not other._outside(self._exps)
+        return next(other._outside(self._exps), None) is None
 
     def _check(self, other: "MonomialIdeal"):
         if self.ring != other.ring:

@@ -144,8 +144,11 @@ class PresentedIdeal:
         split by whether u_i >= k.  The leaves are a variable that divides no
         generator (no u) and pure powers x_j^(a_j) alone (u = prod x_j^(a_j - 1)),
         and a branch is cut when its offset's degree plus sum_j (lcm_j - 1), a bound
-        because each u_j is some g_j - 1, cannot beat the best degree found.  The
-        proofs are in `_socle_top`.
+        because each u_j is some g_j - 1, cannot beat the best degree found.  When
+        that bound is the best degree plus one, only u = lcm - 1 could reach it, so
+        the branch is also cut when x^(lcm - 1) lies in its ideal.  The search runs
+        on the generators packed once, in fields wide enough for the degree of the
+        lcm box; the proofs and the field-width argument are in `_socle_top`.
 
         Since H^0_m(S/J) = sat(J)/J, its top degree a_0(S/J) = a_0(R/I^n) is
         sdeg(n) - 1 (NEG_INF when J is saturated).

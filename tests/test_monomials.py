@@ -18,7 +18,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.monomials import NEG_INF, _minimal, _socle_top
+from regpow.monomials import NEG_INF, _colon, _layout, _minimal, _pack, _socle_top, _split
 
 from conftest import (
     all_monomials,
@@ -163,19 +163,35 @@ def test_minimal_drops_candidates_divided_by_lower_degree_levels():
     assert [str(g) for g in got.gens] == ["z^3", "y^2", "x"]
 
 
-def test_minimal_with_inert_tuples_as_in_a_pivot_split():
+def test_packed_split_gives_the_minimal_colon_generators():
     """In J : x_i^k the unchanged generators (g_i = 0) need not serve as divisors."""
     rnd = random.Random(79)
     dropped = 0
     for case in range(400):
         nv = 2 + case % 4
         gens = _minimal([tuple(rnd.randint(0, 4) for _ in range(nv)) for _ in range(rnd.randint(1, 12))])
-        i, k = rnd.randrange(nv), rnd.randint(1, 4)
+        i = rnd.randrange(nv)
+        k = rnd.randint(1, max(1, *(g[i] for g in gens)))  # a pivot never exceeds the lcm
+        # the socle search's keys: exponents in _layout(nv, max(D, n)), the degree in the field above
+        top = max(sum(map(max, zip(*gens))), len(gens))
+        shifts, guards = _layout(nv, top)
+        width, above = top.bit_length() + 1, guards.bit_length()
+        keys = [_pack(e, shifts) | (sum(e) << above) for e in gens]
+
+        def decode(packed):
+            out = [tuple((key >> s) & ((1 << width) - 1) for s in shifts) for key in packed]
+            assert [key >> above for key in packed] == list(map(sum, out))
+            return sorted(out)
+
+        plus, colon = _split(keys, shifts[i], k, guards, width)
+        p = tuple(k if j == i else 0 for j in range(nv))
+        assert decode(plus) == sorted([g for g in gens if g[i] < k] + [p]), (gens, i, k)
+        high = [g[:i] + (g[i] - k,) + g[i + 1:] for g in gens if g[i] > k]
         lowered = [g[:i] + (0,) + g[i + 1:] for g in gens if 0 < g[i] <= k]
-        inert = frozenset(g for g in gens if not g[i])
-        got = _minimal(lowered, inert=inert)
-        assert got == _minimal(lowered + list(inert)), (gens, i, k)
-        dropped += len(inert - set(got))
+        unchanged = [g for g in gens if not g[i]]
+        got = decode(colon)
+        assert got == sorted(high + _minimal(lowered + unchanged)) == _colon(gens, p), (gens, i, k)
+        dropped += len(set(unchanged) - set(got))
     assert dropped > 50  # lowered generators do divide unchanged ones
 
 

@@ -1,4 +1,5 @@
 """Power functions of a presented ideal: modules, values, defects, diagnostics."""
+import itertools
 import json
 import os
 import random
@@ -27,7 +28,9 @@ from regpow import (
 )
 from regpow import families, monomials, regfun
 from regpow.betti import _betti_table_memo
+from regpow.monomials import _minimal
 
+from _socle_oracle import socle_top
 from conftest import random_ideal, ring, saturate_by_colon_fixpoint, sdeg_by_colon_fold
 
 
@@ -238,6 +241,59 @@ def test_sdeg_matches_the_colon_fold():
     assert seen == {
         "artinian", "non-artinian", "saturated", "unsaturated", "variable missing", "quot", "no quot",
     }
+
+
+def _socle_cases(rnd):
+    """(gens, nvars) pairs: the zero and unit ideals, random ideals, then field-width edges."""
+    cases = [([], 1), ([(0,)], 1), ([], 4), ([(0,) * 4], 4)]
+    for _ in range(2000):
+        nv = rnd.randint(1, 8)
+        top = rnd.choice((1, 2, 3, 4, 7, 8, 15, 16))
+        gens = [tuple(rnd.randint(0, top) for _ in range(nv)) for _ in range(rnd.randint(1, 12))]
+        if rnd.random() < 0.5:  # one pure power per variable makes most of them Artinian
+            gens += [tuple(rnd.randint(1, top) if j == i else 0 for j in range(nv)) for i in range(nv)]
+        cases.append((_minimal(gens), nv))
+    # lcm boxes of degree 7, 8, 15 and 16: the pure powers at the box's corner
+    # and generators with two or more variables, which divide none of them
+    for box in (7, 8, 15, 16):
+        for nv in range(1, 7):
+            for _ in range(12):
+                cuts = sorted(rnd.sample(range(1, box), nv - 1))
+                lcm = [b - a for a, b in zip([0, *cuts], [*cuts, box])]
+                gens = [tuple(a if j == i else 0 for j, a in enumerate(lcm)) for i in range(nv)]
+                for _ in range(rnd.randint(0, 10)):
+                    g = tuple(rnd.randint(0, a) for a in lcm)
+                    if sum(map(bool, g)) > 1:
+                        gens.append(g)
+                cases.append((_minimal(gens), nv))
+    # at least as many generators as the box degree, 7, 8, 15, 16, 31 or 32: the count sets the field width
+    for nv, d, sizes in ((4, 2, (7, 8)), (3, 5, (15, 16)), (4, 4, (31, 32))):
+        level = [e for e in itertools.product(range(d + 1), repeat=nv) if sum(e) == d]
+        for size in sizes:
+            for _ in range(6):
+                cases.append((sorted(rnd.sample(level, size)), nv))
+    return cases
+
+
+def test_packed_socle_search_matches_the_tuple_search():
+    seen_top, seen_box, seen_count, values = set(), set(), set(), set()
+    for gens, nv in _socle_cases(random.Random(23)):
+        value = monomials._socle_top(gens, nv)
+        assert value == socle_top(gens, nv), (gens, nv)
+        if gens:
+            box = sum(map(max, zip(*gens)))
+            seen_top.add(max(map(max, gens)))
+            seen_box.add(box)
+            if len(gens) >= box:
+                seen_count.add(len(gens))
+        values.add(value == NEG_INF)
+    assert {7, 8, 15, 16} <= seen_top & seen_box and {7, 8, 15, 16, 31, 32} <= seen_count
+    assert values == {True, False}
+    for spec, n_max in (*FAMILY_WINDOWS, (FamilySpec("cycle", t=4), 5)):
+        X = build(spec)
+        for n in range(1, n_max + 1):
+            J = X._lifted_power(n)
+            assert monomials._socle_top(J._exps, X.ring.nvars) == socle_top(J._exps, X.ring.nvars), (spec, n)
 
 
 def test_sdeg_at_the_frontier_runs_no_colon_fold(monkeypatch):
