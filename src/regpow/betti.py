@@ -43,15 +43,12 @@ pivot in several dimensions is ranked, by its block at that one point.
 Above dimension 0 a pivot is the lcm of two or more generators, so a
 generator is a pivot once, at dimension 0, and is never ranked.
 
-The tree runs on packed ints.  A key is an exponent vector in the ideal's
-layout `_layout(r, D)`, D the degree of its lcm box (at least 1), with the
-degree in one more field above.  Variable 0 has the highest field, so keys
-compare by degree and then as tuples, and a node is its keys in increasing
-order.  lcm(g, m) keeps m's field where m_i >= g_i, that is where the guard
-bit of (m | G) - g survives, and takes g's elsewhere.  Its degree is the
-sum of its fields, read from the field above them in x * (1 << w) *
-(G >> (w - 1)): no sum of fields exceeds D, so none carries.  A child keeps
-each lcm that no lower kept key divides, by the same guard-bit test.
+The tree runs on the keys (`monomials._keys`) of the ideal's layout
+`_layout(r, D)`, D the degree of its lcm box (at least 1), and a node is
+its keys in increasing order.  lcm(g, m) keeps m's field
+where m_i >= g_i, that is where the guard bit of (m | G) - g survives, and
+takes g's elsewhere.  Its degree is read with one multiplication, as no
+sum of fields exceeds D.  A child keeps the minimal lcms (`_minimal_keys`).
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
@@ -60,30 +57,29 @@ whose facet (below) is all of supp(alpha) makes K = Δ_alpha, and then
 Tor(S/J)_alpha = 0.  Otherwise, alpha being no generator, K has a vertex
 v.  K is del_v K ∪ v * lk_v K, and the cone v * lk_v K is acyclic, so
 H(K) = H(K, v * lk_v K), whose chain complex is that of the face set
-del_v K minus lk_v K: the faces of the facets T without v, minus those of
-the T - v for the facets T with v.
-Its homology in face size i is Tor_{i+1}(S/J)_alpha, on one vertex fewer.
-Any vertex of K will do; v is the last variable of K, the lowest guard bit
-of the facets' union, which ranked the least on the families tried
-(cycle, ehl, m2_reg, m2_sdeg, the corpus); the first variable made cycle
-t=4 R/I^4 about nine times slower.
+del_v K minus lk_v K.  Its homology in face size i is Tor_{i+1}(S/J)_alpha,
+on one vertex fewer.  Any vertex of K will do; v is the last variable of
+K, which ranked the least on the families tried (cycle, ehl, m2_reg,
+m2_sdeg, the corpus); the first variable made cycle t=4 R/I^4 about nine
+times slower.
 
-The block at alpha comes from facets, one pass over the generators: a
+The faces come from facets, one pass over the generators (`_faces`): a
 generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
 and the faces of K^alpha(A) are the subsets of some T_g (likewise for B).
 A face is a bitmask of variables, and a complex is a face set, one int
 with bit F set for each face F, so the block is K^alpha(A) & ~K^alpha(B).
+With s the bit of v, del_v K is K within the simplex on supp(alpha) - v,
+and lk_v K is K >> s there, since bit F of K >> s is bit F + s = F ∪ {v}
+of K.
 Its boundary matrices have entries 0 and ±1 and are ranked exactly over
 the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
 across points and tables, so their homology is memoized on the face set
 in a bounded LRU cache.
 
 A support point is its tree key without the degree field, in its ideal's
-own `_layout(r, D)`: fields of w bits whose top bit, the guard bit, is 0
-(mask G).  With q = x^alpha | G, a generator g divides x^alpha exactly
-when q - g keeps every guard bit, and the same subtraction gives its facet.
-`_quotient_betti` keeps, per ideal, only the points of the support with
-their degree and Betti numbers, in a bounded memo of 64 ideals keyed by
+own layout.  `_quotient_betti` keeps, per ideal, its layout, its packed
+generators and the points of the support with their degree and Betti
+numbers, in a bounded memo of 64 ideals keyed by
 the ideal with its ring.  Neighbouring modules share
 ideals (J_n is the denominator of R/I^n and of I^(n-1)/I^n and the
 numerator of I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each
@@ -128,7 +124,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import MonomialIdeal, _layout, _pack
+from .monomials import MonomialIdeal, _Layout, _keys, _layout, _minimal_keys
 
 CACHE_ENV = "REGPOW_CACHE"
 # Hashed into every cache key, so records of another format or engine version are misses.
@@ -313,11 +309,16 @@ def _block_betti(faces: int) -> tuple:
 
 
 class _Simplices(dict):
-    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup."""
+    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup.
+
+    Variable j has the guard bit field_guards[j] and the face bit 1 << j;
+    singles has the bits of the one-vertex faces in a face set.
+    """
 
     def __init__(self, field_guards):
         super().__init__()
         self.field_guards = field_guards
+        self.singles = sum(1 << (1 << j) for j in range(len(field_guards)))
 
     def __missing__(self, pattern: int) -> int:
         mask = sum(1 << j for j, bit in enumerate(self.field_guards) if pattern & bit)
@@ -326,25 +327,36 @@ class _Simplices(dict):
 
 
 @lru_cache(maxsize=64)
-def _simplices(shifts: tuple, bits: int) -> _Simplices:
-    """The `_Simplices` of the layout with these shifts and bits value bits per field, shared by every scan on it."""
-    return _Simplices([1 << (s + bits) for s in shifts])
+def _simplices(layout: _Layout) -> _Simplices:
+    """The `_Simplices` of a layout, shared by every scan on it."""
+    return _Simplices([1 << (s + layout.bits) for s in layout.shifts])
 
 
-def _pivots(roots: list, guards: int, width: int) -> dict:
+def _faces(p: int, packed, layout: _Layout, simplices: _Simplices) -> int:
+    """The face set of K^alpha(packed), alpha packed as p: the subsets of the facets of the g dividing x^alpha.
+
+    g divides x^alpha when q - g keeps every guard bit, q = p | G, and its
+    facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
+    a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.
+    """
+    guards, ones = layout.guards, layout.ones
+    q = p | guards
+    faces = 0
+    for g in packed:
+        d = q - g
+        if d & guards == guards:
+            faces |= simplices[(d - ones) & guards]
+    return faces
+
+
+def _pivots(roots: list, layout: _Layout) -> dict:
     """key -> {d: number of pivots at the key in dimension d} over the Mayer–Vietoris tree of roots.
 
-    A key is a packed exponent vector in fields of `width` bits under the
-    guard mask `guards`, with its degree in one more field above them;
-    roots are the generators' keys in increasing order, which is by degree
-    and then by tuple.
+    roots are the generators' keys (`_keys`), in a layout with room for the
+    degree of their lcm box.
     """
-    shift = width - 1
-    field = (1 << width) - 1
-    exps = (1 << guards.bit_length()) - 1
-    # x * up holds the sum of x's fields in the field above them
-    up = (guards >> shift) << width
-    degree = field << guards.bit_length()
+    bits, guards, field, exps, up = layout.bits, layout.guards, layout.field, layout.exps, layout.up
+    degree = field << layout.above
     pivots = {}
     stack = [(roots, 0)]
     while stack:
@@ -359,89 +371,59 @@ def _pivots(roots: list, guards: int, width: int) -> dict:
             q = m | guards
             lcms = set()
             for g in gens[:j]:
-                x = (m ^ ((m ^ g) & ~((((q - g) & guards) >> shift) * field))) & exps
+                x = (m ^ ((m ^ g) & ~((((q - g) & guards) >> bits) * field))) & exps
                 lcms.add(x | ((x * up) & degree))
-            # a proper divisor has a lower key, so each key is tested against the kept ones
-            child = []
-            for p in sorted(lcms):
-                t = p | guards
-                for h in child:
-                    if (t - h) & guards == guards:
-                        break
-                else:
-                    child.append(p)
-            stack.append((child, d + 1))
+            stack.append((_minimal_keys(sorted(lcms), layout), d + 1))
     return pivots
 
 
 @lru_cache(maxsize=64)
 def _quotient_betti(ideal: MonomialIdeal) -> tuple:
-    """(bits, shifts, packed, support): the multigraded Betti numbers of S/ideal.
+    """(layout, packed, support): the multigraded Betti numbers of S/ideal.
 
-    The ideal's layout `_layout(r, D)`, D the degree of its lcm box (at
-    least 1), has the given shifts and fields of bits value bits, room for
-    any degree in the box; packed holds the generators in it.  support maps
-    each multidegree alpha with Tor(S/ideal)_alpha != 0, packed in that
-    layout, to (|alpha|, ((i, beta_{i,alpha}), ...)).  Both are read off
-    the keys of the ideal's Mayer–Vietoris tree: the key less its degree
-    field, and that field.  A pivot of several dimensions is ranked by its
-    block reduced at one vertex, as in the module docstring.  The unit
-    ideal has no support and gets (0, (), (), {}) before any packing.
+    layout is the ideal's `_layout(r, D)`, D the degree of its lcm box (at
+    least 1), and packed holds the generators in it.  support maps each
+    multidegree alpha with Tor(S/ideal)_alpha != 0, packed in that layout,
+    to (|alpha|, ((i, beta_{i,alpha}), ...)).  Both are read off the keys of
+    the ideal's Mayer–Vietoris tree: the key less its degree field, and that
+    field.  A pivot of several dimensions is ranked by its block reduced at
+    one vertex, as in the module docstring.  The unit ideal has no support
+    and gets the narrowest layout, `_layout(r, 0)`, before any packing.
     """
     if ideal.is_unit():
-        return 0, (), (), {}
-    box = max(sum(ideal.lcm_exponents()), 1)
-    shifts, guards = _layout(ideal.ring.nvars, box)
-    bits = box.bit_length()
-    above = guards.bit_length()
-    exps = (1 << above) - 1
-    roots = sorted(_pack(e, shifts) | (sum(e) << above) for e in ideal._exps)
+        return _layout(ideal.ring.nvars, 0), (), {}
+    layout = _layout(ideal.ring.nvars, max(sum(ideal.lcm_exponents()), 1))
+    guards, ones, above, exps = layout.guards, layout.ones, layout.above, layout.exps
+    roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)
-    ones = guards >> bits
-    simplices = _simplices(shifts, bits)
+    simplices = _simplices(layout)
+    field_guards, singles = simplices.field_guards, simplices.singles
     support = {0: (0, ((0, 1),))}
-    for key, counts in _pivots(roots, guards, bits + 1).items():
+    for key, counts in _pivots(roots, layout).items():
         p = key & exps
         if len(counts) == 1:
             (dim, b), = counts.items()
             support[p] = (key >> above, ((dim + 1, b),))
             continue
-        # A generator g divides x^alpha when q - g keeps every guard bit, and its
-        # facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
-        # a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.  With
-        # g = 0 the same gives supp(alpha).
-        q = p | guards
-        full = (q - ones) & guards
-        facets, union = [], 0
-        for g in packed:
-            d = q - g
-            if d & guards == guards:
-                T = (d - ones) & guards
-                if T == full:
-                    break  # K^alpha is the whole simplex
-                facets.append(T)
-                union |= T
-        else:
-            # alpha is no generator, so K^alpha has a vertex: take the last
-            # variable's, the lowest guard bit
-            v = union & -union
-            kept = dropped = 0
-            for T in facets:
-                if T & v:
-                    dropped |= simplices[T ^ v]
-                else:
-                    kept |= simplices[T]
-            faces = kept & ~dropped
-            betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
-            if betti:
-                support[p] = (key >> above, betti)
-    return bits, shifts, packed, support
+        K = _faces(p, packed, layout, simplices)
+        full = ((p | guards) - ones) & guards  # the facet of g = 0, supp(alpha)
+        if K == simplices[full]:
+            continue  # K^alpha is the whole simplex
+        # alpha is no generator, so K has a vertex: take the last variable's,
+        # the highest one-vertex face, and reduce at its bit s
+        s = (K & singles).bit_length() - 1
+        faces = K & simplices[full ^ field_guards[s.bit_length() - 1]] & ~(K >> s)
+        betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
+        if betti:
+            support[p] = (key >> above, betti)
+    return layout, packed, support
 
 
-def _repack(points, bits: int, shifts: tuple, wide: tuple) -> list:
-    """The packed points moved from `shifts` (fields of bits value bits) to the wider layout `wide`."""
-    value_bits = (1 << bits) - 1
-    return [sum(((p >> s) & value_bits) << t for s, t in zip(shifts, wide)) for p in points]
+def _repack(points, layout: _Layout, wide: _Layout) -> list:
+    """The packed points moved from layout to the wider layout `wide`."""
+    pairs = tuple(zip(layout.shifts, wide.shifts))
+    field = layout.field
+    return [sum([((p >> s) & field) << t for s, t in pairs]) for p in points]
 
 
 def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
@@ -450,12 +432,13 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     alpha is packed in the wider of the two ideals' layouts; the narrower
     ideal is repacked into it as far as it is needed.
     """
-    a_bits, a_shifts, a_packed, a_support = _quotient_betti(A)
-    b_bits, b_shifts, b_packed, b_support = _quotient_betti(B)
-    if a_bits < b_bits and a_support:
-        a_support = dict(zip(_repack(a_support, a_bits, a_shifts, b_shifts), a_support.values()))
-    elif b_bits < a_bits and b_support:
-        b_support = dict(zip(_repack(b_support, b_bits, b_shifts, a_shifts), b_support.values()))
+    a_layout, a_packed, a_support = _quotient_betti(A)
+    b_layout, b_packed, b_support = _quotient_betti(B)
+    layout = max(a_layout, b_layout)  # layouts of one ring order by width
+    if a_layout.bits < layout.bits and a_support:
+        a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
+    elif b_layout.bits < layout.bits and b_support:
+        b_support = dict(zip(_repack(b_support, b_layout, layout), b_support.values()))
     # Off supp(S/A) Tor_i(A/B) is Tor_i(S/B), and off supp(S/B) it is
     # Tor_{i+1}(S/A); only the common points need the relative block.
     shared = []
@@ -469,25 +452,20 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
             yield p, j, tuple((i - 1, b) for i, b in betti)
     if not shared:
         return
-    if a_bits < b_bits:
-        a_packed = _repack(a_packed, a_bits, a_shifts, b_shifts)
-    elif b_bits < a_bits:
-        b_packed = _repack(b_packed, b_bits, b_shifts, a_shifts)
-    bits = max(a_bits, b_bits)
-    shifts, guards = _layout(A.ring.nvars, (1 << bits) - 1)
-    ones = guards >> bits
-    simplices = _simplices(shifts, bits)
+    if a_layout.bits < layout.bits:
+        a_packed = _repack(a_packed, a_layout, layout)
+    elif b_layout.bits < layout.bits:
+        b_packed = _repack(b_packed, b_layout, layout)
+    simplices = _simplices(layout)
     # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
-    # faces F with x^(alpha - F) in A and not in B, from the facets as above.
+    # faces F with x^(alpha - F) in A and not in B, from the facets.
+    guards, ones = layout.guards, layout.ones
     for p, j in shared:
-        q = p | guards
-        faces = 0
-        for g in a_packed:
-            d = q - g
-            if d & guards == guards:
-                faces |= simplices[(d - ones) & guards]
+        faces = _faces(p, a_packed, layout, simplices)
         if not faces:
             continue
+        # K^alpha(B) is taken off facet by facet, to stop as soon as nothing is left
+        q = p | guards
         for g in b_packed:
             d = q - g
             if d & guards == guards:

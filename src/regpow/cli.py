@@ -146,6 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regpow",
         description="Regularity and saturation-degree functions of powers of monomial ideals.",
+        epilog="REGPOW_CACHE=path enables an on-disk cache of Betti tables; the output is the same, "
+        "byte for byte, without it.  The cache file has no lock: two processes writing one file at "
+        "the same time can lose each other's records.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

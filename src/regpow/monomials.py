@@ -27,33 +27,29 @@ The lazy ones go into the instance `__dict__` through `object.__setattr__`
 (`_once` below), not `functools.cached_property`, which on Python < 3.12
 takes a lock on every first access.
 
-Divisibility in the kernel is one big-integer subtraction.  With
-w = bit_length(largest exponent) + 1, an exponent vector e of r entries
-packs into fields of w bits: e_i sits in bits [w*(r-1-i), w*(r-i) - 1),
-variable 0 in the highest field, and the top bit of each field, its guard
-bit, stays 0.  So packed vectors compare as integers the way their tuples
-compare.  Let G be the mask of all guard bits.
-In ((e | G) - h) field i holds 2^(w-1) + e_i - h_i >= 0, so no field
-borrows from the next, and its guard bit survives exactly when e_i >= h_i:
+Divisibility in the kernel is one big-integer subtraction on the packed
+form that `_layout` declares once for the whole package (`betti` uses it
+too): fields of w bits, variable 0 in the highest, whose top bit, the guard
+bit, stays 0.  Let G be the mask of all guard bits.  In ((e | G) - h)
+field i holds 2^(w-1) + e_i - h_i >= 0, so no field borrows from the next,
+and its guard bit survives exactly when e_i >= h_i:
 
     h divides e  <=>  ((e | G) - h) & G == G.
 
 The rest is Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2: an
-intersection is generated by the pairwise lcms of the generators, where a
-generator that already lies in the other ideal stands for all of its
-lcms and only the remaining pairs are formed; I : u is generated by the
-g / gcd(g, u); and I : (u_1, ..., u_k) is the intersection of the I : u_j.
+intersection is generated by the pairwise lcms of the generators; I : u is
+generated by the g / gcd(g, u); and I : (u_1, ..., u_k) is the
+intersection of the I : u_j.
 
 The socle of S/I (`_socle_top`, which gives the saturation degree) is
 not built as I : m but searched by pivot splits, Roune's slice recursion
 (B. H. Roune, "The slice algorithm for irreducible decomposition of
 monomial ideals", J. Symbolic Comput. 44, 2009; Miller–Sturmfels,
 *Combinatorial Commutative Algebra*, GTM 227, Ch. 5), cut down to the
-largest degree.  The search packs the generators once per call, with
-fields wide enough for the degree of the lcm box, so that every degree it
-forms is read with one multiplication, and builds each J : x_i^k from the
-packed keys (`_split`) with no repacking.  A corner cut drops a node whose
-bound exceeds the best degree by one when x^(lcm - 1) lies in the ideal.
+largest degree.  The search runs on keys (`_keys`) packed once per call
+and builds each J : x_i^k from them (`_split`) with no repacking.  A
+corner cut drops a node whose bound exceeds the best degree by one when
+x^(lcm - 1) lies in the ideal.
 """
 from __future__ import annotations
 
@@ -63,6 +59,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add, lshift, or_
+from typing import NamedTuple
 
 NEG_INF = float("-inf")  # the degree of the zero module; absorbing under max and +
 
@@ -78,21 +75,53 @@ class MonomialSyntaxError(ValueError):
 # ------------------------------------------------------------ exponent-tuple kernel
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(nvars: int, top: int) -> tuple:
-    """Field shifts and guard mask for packing nvars exponents, each at most top.
+class _Layout(NamedTuple):
+    """The packed form of exponent vectors of nvars entries, each at most top; see `_layout`."""
 
-    Fields are top.bit_length() + 1 bits wide, the last one a guard bit.
-    Variable 0 gets the highest field, so the integer order of packed
-    vectors is the order of their tuples.
+    bits: int  # value bits of a field, top.bit_length(); first, so layouts of one ring order by width
+    shifts: tuple  # the bit where each variable's field starts, variable 0 highest
+    guards: int  # G, the guard (top) bit of every field
+    field: int  # one field's mask, w bits
+    ones: int  # 1 in every field
+    above: int  # where a key's degree field starts
+    exps: int  # the mask of all exponent fields
+    up: int  # x * up holds the sum of x's fields in the field above them
+
+    def unpack(self, x: int) -> tuple:
+        """The exponent tuple of a packed vector or key."""
+        return tuple([(x >> s) & self.field for s in self.shifts])
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(nvars: int, top: int) -> _Layout:
+    """The one packed format of the kernel, for nvars exponents each at most top.
+
+    A field is w = top.bit_length() + 1 bits wide.  Variable i's field
+    starts at bit w*(r-1-i), so variable 0 has the highest field and packed
+    vectors compare as integers the way their tuples compare.  The top bit
+    of each field, its guard bit, stays 0 (for the divisibility test of the
+    module docstring).  A key (`_keys`) adds the vector's degree in one more
+    field above the exponents, so sorted keys run by degree and then as
+    tuples.  A vector whose degree is at most 2^w - 1 has its degree read
+    with one multiplication, ((x * up) >> above) & field: no partial sum of
+    its fields carries into the field above them.
     """
     width = top.bit_length() + 1
     shifts = tuple(range(width * (nvars - 1), -1, -width))
-    return shifts, sum(1 << (s + width - 1) for s in shifts)
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    ones = guards >> (width - 1)
+    above = width * nvars
+    return _Layout(width - 1, shifts, guards, (1 << width) - 1, ones, above, (1 << above) - 1, ones << width)
 
 
 def _pack(e, shifts) -> int:
     return sum(map(lshift, e, shifts))
+
+
+def _keys(exps, layout: _Layout) -> list:
+    """The sorted keys of the exponent tuples: each packed in layout with its degree in the field above."""
+    shifts, above = layout.shifts, layout.above
+    return sorted([_pack(e, shifts) | (sum(e) << above) for e in exps])
 
 
 def _divides_any(packed, p: int, guards: int) -> bool:
@@ -109,7 +138,8 @@ def _minimal(exps) -> list:
     unique = sorted(set(exps), key=sum)
     if len(unique) < 2 or not any(unique[0]):
         return unique[:1]
-    shifts, guards = _layout(len(unique[0]), max(map(max, unique)))
+    layout = _layout(len(unique[0]), max(map(max, unique)))
+    shifts, guards = layout.shifts, layout.guards
     kept, out = [], []
     # A proper divisor has strictly lower degree, so a candidate is tested only
     # against the kept generators of lower degree; a level joins them once it
@@ -132,21 +162,8 @@ def _products(a, b) -> list:
 
 
 def _intersect(a, b) -> list:
-    """Minimal generators of (a) ∩ (b), for minimal generating tuples a and b."""
-    if not a or not b:
-        return []
-    shifts, guards = _layout(len(a[0]), max(map(max, itertools.chain(a, b))))
-    pa = [_pack(e, shifts) for e in a]
-    pb = [_pack(e, shifts) for e in b]
-    # A generator that lies in the other ideal lies in the intersection and
-    # divides all of its own lcms; only the remaining pairs need an lcm.
-    out, rest_a, rest_b = [], [], []
-    for e, p in zip(a, pa):
-        (out if _divides_any(pb, p, guards) else rest_a).append(e)
-    for e, p in zip(b, pb):
-        (out if _divides_any(pa, p, guards) else rest_b).append(e)
-    out += [tuple(map(max, g, h)) for g in rest_a for h in rest_b]
-    return _minimal(out)
+    """Minimal generators of (a) ∩ (b): the minimal pairwise lcms."""
+    return _minimal([tuple(map(max, g, h)) for g in a for h in b])
 
 
 def _colon(gens, u) -> list:
@@ -162,7 +179,30 @@ def _colon_ideal(gens, divisors) -> list:
     return result
 
 
-def _split(keys, s: int, k: int, guards: int, width: int) -> tuple:
+def _minimal_keys(keys, layout: _Layout) -> list:
+    """The minimal ones of distinct sorted keys, in order.
+
+    A proper divisor has a lower degree, and sorted keys run by degree, so
+    each key is tested only against the kept keys of lower degree.
+    """
+    guards, above = layout.guards, layout.above
+    kept, fresh, level = [], [], 0
+    for c in keys:
+        if c >> above != level:
+            kept += fresh
+            fresh.clear()
+            level = c >> above
+        q = c | guards
+        for h in kept:
+            if (q - h) & guards == guards:
+                break
+        else:
+            fresh.append(c)
+    kept += fresh
+    return kept
+
+
+def _split(keys, s: int, k: int, layout: _Layout) -> tuple:
     """(J + (p), J : p) for J generated by the socle-search keys `keys` and p = x_i^k.
 
     x_i's field starts at bit s; the J : p keys are minimal, and J + (p)
@@ -172,8 +212,7 @@ def _split(keys, s: int, k: int, guards: int, width: int) -> tuple:
     another candidate, and only one of lower degree, so each candidate is
     tested against the lowered survivors of lower degree alone.
     """
-    field = (1 << width) - 1
-    above = guards.bit_length()
+    field, guards, above = layout.field, layout.guards, layout.above
     unit = (1 << s) | (1 << above)  # x_i with its degree
     p = k * unit
     plus, colon, lowered, unchanged = [], [], [], []
@@ -189,16 +228,7 @@ def _split(keys, s: int, k: int, guards: int, width: int) -> tuple:
             unchanged.append(g)
             plus.append(g)
     plus.append(p)
-    # sorted keys run by degree, the field above the exponents
-    lowered.sort()
-    low, fresh, level = [], [], 0
-    for c in lowered:
-        if c >> above != level:
-            low += fresh
-            fresh, level = [], c >> above
-        if not _divides_any(low, c, guards):
-            fresh.append(c)
-    low += fresh
+    low = _minimal_keys(sorted(lowered), layout)
     for c in unchanged:
         if not _divides_any(low[:bisect_left(low, c >> above << above)], c, guards):
             colon.append(c)
@@ -251,13 +281,12 @@ def _socle_top(gens, nvars: int):
     The pivot variable is the one in most non-pure generators (the first on
     ties), and k is the median of its positive exponents there.
 
-    The search runs on keys packed once per call: the exponents in
-    `_layout(nvars, max(D, n))`, D the degree of the root's lcm box and n its
-    number of generators, and the key's degree in one more field above
-    them, so sorted keys run by degree.  No field overflows.  offset + lcm
-    never exceeds the root's lcm (J : p moves k from the lcm to the offset,
-    J + (p) adds only p, and k <= lcm_i), so its fields sum to at most D and
-    its degree is read with one multiplication.  No node has more generators
+    The search runs on the keys (`_keys`) of `_layout(nvars, max(D, n))`, D
+    the degree of the root's lcm box and n its number of generators, packed
+    once per call.  No field overflows.  offset + lcm never exceeds the
+    root's lcm (J : p moves k from the lcm to the offset, J + (p) adds only
+    p, and k <= lcm_i), so its fields sum to at most D and its degree is
+    read with one multiplication.  No node has more generators
     than the root, so the per-variable counts of non-pure generators, summed
     from their guard bits, fit a field.  A node first ORs its keys, whose
     fields are all nonzero exactly when every variable divides a generator;
@@ -267,17 +296,10 @@ def _socle_top(gens, nvars: int):
     """
     if not gens:
         return NEG_INF
-    top = max(sum(map(max, zip(*gens))), len(gens))
-    shifts, guards = _layout(nvars, top)
-    width = top.bit_length() + 1
-    shift = width - 1
-    field = (1 << width) - 1
-    above = guards.bit_length()
-    exps = (1 << above) - 1
-    ones = guards >> shift
-    up = ones << width  # x * up holds the sum of x's fields in the field above them
+    layout = _layout(nvars, max(sum(map(max, zip(*gens))), len(gens)))
+    bits, shifts, guards, field, ones, above, exps, up = layout
     best = NEG_INF
-    stack = [([_pack(e, shifts) | (sum(e) << above) for e in gens], 0, None)]
+    stack = [(_keys(gens, layout), 0, None)]
     while stack:
         keys, offset, filters = stack.pop()
         if ((functools.reduce(or_, keys) | guards) - ones) & guards != guards:
@@ -286,7 +308,7 @@ def _socle_top(gens, nvars: int):
         lcm = nonpure = 0
         mixed = []
         for g in keys:
-            lcm ^= (lcm ^ g) & ~(((((lcm | guards) - g) & guards) >> shift) * field)
+            lcm ^= (lcm ^ g) & ~(((((lcm | guards) - g) & guards) >> bits) * field)
             nz = ((g | guards) - ones) & guards
             if nz & (nz - 1):
                 mixed.append(g)
@@ -306,12 +328,12 @@ def _socle_top(gens, nvars: int):
             continue
         if bound - 1 <= best and _divides_any(keys, lcm - ones, guards):
             continue
-        counts = nonpure >> shift
+        counts = nonpure >> bits
         # a larger shift is an earlier variable, so ties go to the first one
         c, s = max([((counts >> s) & field, s) for s in shifts])
         column = sorted([(g >> s) & field for g in mixed])
         k = column[len(column) - c + c // 2]
-        plus, colon = _split(keys, s, k, guards, width)
+        plus, colon = _split(keys, s, k, layout)
         stack.append((plus, offset, ((s, ((offset >> s) & field) + k - 1, offset, keys), filters)))
         # J : p is taken first: its monomials carry the pivot, so it tends to set a high best early.
         stack.append((colon, offset + (k << s), filters))
@@ -518,21 +540,22 @@ class MonomialIdeal:
 
     @_once
     def _packed(self) -> tuple:
-        """(top, shifts, guards, packed generators): the kernel's form of the generators.
+        """(top, layout, packed generators): the kernel's form of the generators.
 
-        top is the largest generator exponent and (shifts, guards) its `_layout`.
+        top is the largest generator exponent and layout its `_layout`.
         """
         top = max(map(max, self._exps), default=0)
-        shifts, guards = _layout(self.ring.nvars, top)
-        return top, shifts, guards, tuple(_pack(e, shifts) for e in self._exps)
+        layout = _layout(self.ring.nvars, top)
+        return top, layout, tuple(_pack(e, layout.shifts) for e in self._exps)
 
     def _outside(self, exps):
         """The exponent tuples in exps (of this ring) whose monomials are not in the ideal, one by one."""
-        top, shifts, guards, packed = self._packed
+        top, layout, packed = self._packed
         if not top:  # the zero ideal contains nothing, the unit ideal everything
             if not packed:
                 yield from exps
             return
+        shifts, guards = layout.shifts, layout.guards
         for e in exps:
             # no generator exponent exceeds top, so capping e at top keeps divisibility
             capped = e if max(e) <= top else [min(x, top) for x in e]

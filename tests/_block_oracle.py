@@ -66,7 +66,8 @@ def block_levels(alpha, a_exps, b_exps) -> dict:
     """{i: faces of size i} of the block at alpha, each face a sorted tuple of variables."""
     nv = len(alpha)
     top = max(itertools.chain(alpha, *a_exps, *b_exps, (1,)))
-    shifts, guards = _layout(nv, top)
+    layout = _layout(nv, top)
+    shifts, guards = layout.shifts, layout.guards
     a_packed = [_pack(e, shifts) for e in a_exps]
     b_packed = [_pack(e, shifts) for e in b_exps]
     point = _pack(alpha, shifts)

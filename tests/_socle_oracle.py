@@ -12,6 +12,19 @@ from operator import le
 from regpow.monomials import NEG_INF, _minimal
 
 
+def pivot(gens, nvars: int) -> tuple:
+    """The pivot (i, k) of a node with a non-pure generator.
+
+    x_i is the variable in the most non-pure generators, the first on ties,
+    and k the median of its positive exponents there.
+    """
+    mixed = [g for g in gens if g.count(0) < nvars - 1]
+    columns = list(zip(*mixed))
+    i = max(range(nvars), key=lambda j: len(columns[j]) - columns[j].count(0))
+    exps = sorted(a for a in columns[i] if a)
+    return i, exps[len(exps) // 2]
+
+
 def socle_top(gens, nvars: int):
     """The largest degree of a maximal standard monomial of (gens); NEG_INF if there is none."""
     best = NEG_INF
@@ -24,8 +37,7 @@ def socle_top(gens, nvars: int):
         lcm = list(map(max, zip(*gens)))
         if not all(lcm) or sum(offset) + sum(lcm) - nvars <= best:
             continue
-        mixed = [g for g in gens if g.count(0) < pure]
-        if not mixed:
+        if all(g.count(0) >= pure for g in gens):  # every generator is a pure power
             u = [o + a - 1 for o, a in zip(offset, lcm)]
             while filters is not None:
                 (i, edge, base, split), filters = filters
@@ -37,10 +49,7 @@ def socle_top(gens, nvars: int):
             else:
                 best = sum(u)
             continue
-        columns = list(zip(*mixed))
-        i = max(range(nvars), key=lambda j: len(columns[j]) - columns[j].count(0))
-        exps = sorted(a for a in columns[i] if a)
-        k = exps[len(exps) // 2]
+        i, k = pivot(gens, nvars)
         plus = [g for g in gens if g[i] < k]
         plus.append(tuple(k if j == i else 0 for j in range(nvars)))
         stack.append((plus, offset, ((i, offset[i] + k - 1, offset, gens), filters)))

@@ -45,7 +45,7 @@ from regpow.betti import (
     _tor_by_multidegree,
     deferred_cache_writes,
 )
-from regpow.monomials import _layout
+from regpow.monomials import _keys
 
 import _block_oracle
 import _hochster
@@ -237,33 +237,24 @@ def _is_cone(faces: list) -> bool:
     return any(all(F | {v} in faces for F in faces) for v in vertices)
 
 
-def _unpack(p: int, bits: int, shifts: tuple) -> tuple:
-    return tuple((p >> s) & ((1 << bits) - 1) for s in shifts)
-
-
 def _tree_pivots(ideal) -> list:
     """The packed tree's (alpha, {d: count}) items of the ideal, in tree order, decoded to tuples.
 
-    The roots are packed here as `_quotient_betti` packs them: fields with
-    room for the degree of the lcm box, the degree in the field above, in
-    increasing order.
+    The roots are the generators' keys in the layout `_quotient_betti` picks.
     """
-    box = max(sum(ideal.lcm_exponents()), 1)
-    shifts, guards = _layout(ideal.ring.nvars, box)
-    bits, above = box.bit_length(), guards.bit_length()
-    roots = sorted(sum(a << s for a, s in zip(e, shifts)) | (sum(e) << above) for e in ideal._exps)
+    layout = _quotient_betti(ideal)[0]
     items = []
-    for key, counts in _pivots(roots, guards, bits + 1).items():
-        alpha = _unpack(key, bits, shifts)
-        assert key >> above == sum(alpha), (ideal, alpha)
+    for key, counts in _pivots(_keys(ideal._exps, layout), layout).items():
+        alpha = layout.unpack(key)
+        assert key >> layout.above == sum(alpha), (ideal, alpha)
         items.append((alpha, counts))
     return items
 
 
 def _support(ideal) -> dict:
     """{alpha: (|alpha|, ((i, beta_{i,alpha}), ...))} where Tor(S/ideal) is nonzero, as the per-ideal memo holds it."""
-    bits, shifts, _, support = _quotient_betti(ideal)
-    return {_unpack(p, bits, shifts): entry for p, entry in support.items()}
+    layout, _, support = _quotient_betti(ideal)
+    return {layout.unpack(p): entry for p, entry in support.items()}
 
 
 def _oracle_support(ideal) -> dict:
@@ -493,9 +484,8 @@ def test_facet_blocks_match_membership_oracle():
                     break
         if A == B:
             continue
-        bits = max(_quotient_betti(A)[0], _quotient_betti(B)[0])
-        shifts = _layout(A.ring.nvars, (1 << bits) - 1)[0]
-        composed = {_unpack(p, bits, shifts): dict(betti) for p, _, betti in _tor_by_multidegree(A, B)}
+        layout = max(_quotient_betti(A)[0], _quotient_betti(B)[0])  # the wider one
+        composed = {layout.unpack(p): dict(betti) for p, _, betti in _tor_by_multidegree(A, B)}
         points = _block_oracle.lcm_closure_by_frontier(a_exps) | _block_oracle.lcm_closure_by_frontier(b_exps)
         assert set(composed) <= points, (A, B)
         supp_a, supp_b = _support(A), _support(B)

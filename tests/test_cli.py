@@ -108,6 +108,15 @@ def test_cache_on_off_byte_identical(spec_file, tmp_path, monkeypatch):
     assert plain == cold == warm
 
 
+def test_top_level_help_documents_the_cache_and_its_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert "REGPOW_CACHE=path enables an on-disk cache" in text and "byte for byte" in text
+    assert "no lock" in text and "lose each other's records" in text
+
+
 def test_construct_round_trips_through_compute(tmp_path):
     out_path = tmp_path / "built.spec"
     code, _ = run_cli(

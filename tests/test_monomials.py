@@ -18,7 +18,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.monomials import NEG_INF, _colon, _layout, _minimal, _pack, _socle_top, _split
+from regpow.monomials import NEG_INF, _colon, _keys, _layout, _minimal, _pack, _socle_top, _split
 
 from conftest import (
     all_monomials,
@@ -163,6 +163,46 @@ def test_minimal_drops_candidates_divided_by_lower_degree_levels():
     assert [str(g) for g in got.gens] == ["z^3", "y^2", "x"]
 
 
+def test_layout_invariants():
+    """The packed format of `_layout` at the field-width edges, on one variable and with top = 0.
+
+    unpack inverts packing, sorted keys run in (degree, tuple) order, the
+    degree read ((x * up) >> above) & field is the degree while that fits a
+    field, the guard-bit test is tuple divisibility, and layouts of one ring
+    order by width.
+    """
+    rnd = random.Random(107)
+    tops = [0] + [t for k in range(1, 6) for t in (2 ** k - 1, 2 ** k)]
+    full_reads = set()
+    for nv in (1, 2, 3, 5):
+        layouts = [_layout(nv, top) for top in tops]
+        assert sorted(layouts) == sorted(layouts, key=lambda layout: layout.bits)
+        for top, layout in zip(tops, layouts):
+            assert layout.bits == top.bit_length()
+            # a vector whose degree fills a field, where the entries allow it
+            rest, edge = layout.field, []
+            for _ in range(nv):
+                edge.append(min(top, rest))
+                rest -= edge[-1]
+            vectors = {tuple(rnd.randint(0, top) for _ in range(nv)) for _ in range(30)}
+            vectors |= {(0,) * nv, (top,) * nv, tuple(edge)}
+            keys = _keys(vectors, layout)
+            assert [layout.unpack(key) for key in keys] == sorted(vectors, key=lambda e: (sum(e), e))
+            assert [key >> layout.above for key in keys] == sorted(map(sum, vectors))
+            for e in vectors:
+                x = _pack(e, layout.shifts)
+                assert layout.unpack(x) == e and x & layout.guards == 0 and x == x & layout.exps
+                if sum(e) <= layout.field:
+                    assert ((x * layout.up) >> layout.above) & layout.field == sum(e), (nv, top, e)
+                    if sum(e) == layout.field:
+                        full_reads.add(top)
+                q = x | layout.guards
+                for h in vectors:
+                    divides = all(a <= b for a, b in zip(h, e))
+                    assert ((q - _pack(h, layout.shifts)) & layout.guards == layout.guards) == divides, (h, e)
+    assert full_reads == set(tops) - {0}
+
+
 def test_packed_split_gives_the_minimal_colon_generators():
     """In J : x_i^k the unchanged generators (g_i = 0) need not serve as divisors."""
     rnd = random.Random(79)
@@ -172,26 +212,17 @@ def test_packed_split_gives_the_minimal_colon_generators():
         gens = _minimal([tuple(rnd.randint(0, 4) for _ in range(nv)) for _ in range(rnd.randint(1, 12))])
         i = rnd.randrange(nv)
         k = rnd.randint(1, max(1, *(g[i] for g in gens)))  # a pivot never exceeds the lcm
-        # the socle search's keys: exponents in _layout(nv, max(D, n)), the degree in the field above
-        top = max(sum(map(max, zip(*gens))), len(gens))
-        shifts, guards = _layout(nv, top)
-        width, above = top.bit_length() + 1, guards.bit_length()
-        keys = [_pack(e, shifts) | (sum(e) << above) for e in gens]
-
-        def decode(packed):
-            out = [tuple((key >> s) & ((1 << width) - 1) for s in shifts) for key in packed]
-            assert [key >> above for key in packed] == list(map(sum, out))
-            return sorted(out)
-
-        plus, colon = _split(keys, shifts[i], k, guards, width)
+        # the socle search's layout, with room for the box degree and the number of generators
+        layout = _layout(nv, max(sum(map(max, zip(*gens))), len(gens)))
+        plus, colon = _split(_keys(gens, layout), layout.shifts[i], k, layout)
         p = tuple(k if j == i else 0 for j in range(nv))
-        assert decode(plus) == sorted([g for g in gens if g[i] < k] + [p]), (gens, i, k)
+        assert sorted(plus) == _keys([g for g in gens if g[i] < k] + [p], layout), (gens, i, k)
         high = [g[:i] + (g[i] - k,) + g[i + 1:] for g in gens if g[i] > k]
         lowered = [g[:i] + (0,) + g[i + 1:] for g in gens if 0 < g[i] <= k]
         unchanged = [g for g in gens if not g[i]]
-        got = decode(colon)
-        assert got == sorted(high + _minimal(lowered + unchanged)) == _colon(gens, p), (gens, i, k)
-        dropped += len(set(unchanged) - set(got))
+        expected = high + _minimal(lowered + unchanged)
+        assert sorted(colon) == _keys(expected, layout) and sorted(expected) == _colon(gens, p), (gens, i, k)
+        dropped += len(set(unchanged) - set(expected))
     assert dropped > 50  # lowered generators do divide unchanged ones
 
 
