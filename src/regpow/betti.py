@@ -48,7 +48,8 @@ The tree runs on the keys (`monomials._keys`) of the ideal's layout
 its keys in increasing order.  lcm(g, m) keeps m's field
 where m_i >= g_i, that is where the guard bit of (m | G) - g survives, and
 takes g's elsewhere.  Its degree is read with one multiplication, as no
-sum of fields exceeds D.  A child keeps the minimal lcms (`_minimal_keys`).
+sum of fields exceeds D.  A child keeps each lcm that no lower kept key
+divides, by the same guard-bit test.
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
@@ -57,20 +58,21 @@ whose facet (below) is all of supp(alpha) makes K = Δ_alpha, and then
 Tor(S/J)_alpha = 0.  Otherwise, alpha being no generator, K has a vertex
 v.  K is del_v K ∪ v * lk_v K, and the cone v * lk_v K is acyclic, so
 H(K) = H(K, v * lk_v K), whose chain complex is that of the face set
-del_v K minus lk_v K.  Its homology in face size i is Tor_{i+1}(S/J)_alpha,
-on one vertex fewer.  Any vertex of K will do; v is the last variable of
-K, which ranked the least on the families tried (cycle, ehl, m2_reg,
-m2_sdeg, the corpus); the first variable made cycle t=4 R/I^4 about nine
-times slower.
+del_v K minus lk_v K: the faces of the facets T without v, minus those of
+the T - v for the facets T with v.
+Its homology in face size i is Tor_{i+1}(S/J)_alpha, on one vertex fewer.
+Any vertex of K will do; v is the last variable of K, the lowest guard bit
+of the facets' union, which ranked the least on the families tried
+(cycle, ehl, m2_reg, m2_sdeg, the corpus); the first variable made cycle
+t=4 R/I^4 about nine times slower.
 
-The faces come from facets, one pass over the generators (`_faces`): a
+The block at alpha comes from facets, one pass over the generators: a
 generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
 and the faces of K^alpha(A) are the subsets of some T_g (likewise for B).
-A face is a bitmask of variables, and a complex is a face set, one int
-with bit F set for each face F, so the block is K^alpha(A) & ~K^alpha(B).
-With s the bit of v, del_v K is K within the simplex on supp(alpha) - v,
-and lk_v K is K >> s there, since bit F of K >> s is bit F + s = F ∪ {v}
-of K.
+With q = x^alpha | G, g divides x^alpha exactly when q - g keeps every
+guard bit, and T_g is the guard pattern of (q - g) - ones.  A face is a
+bitmask of variables, and a complex is a face set, one int with bit F set
+for each face F, so the block is K^alpha(A) & ~K^alpha(B).
 Its boundary matrices have entries 0 and ±1 and are ranked exactly over
 the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
 across points and tables, so their homology is memoized on the face set
@@ -124,7 +126,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .modules import NEG_INF, Subquotient, basis
-from .monomials import MonomialIdeal, _Layout, _keys, _layout, _minimal_keys
+from .monomials import MonomialIdeal, _Layout, _keys, _layout
 
 CACHE_ENV = "REGPOW_CACHE"
 # Hashed into every cache key, so records of another format or engine version are misses.
@@ -309,16 +311,11 @@ def _block_betti(faces: int) -> tuple:
 
 
 class _Simplices(dict):
-    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup.
-
-    Variable j has the guard bit field_guards[j] and the face bit 1 << j;
-    singles has the bits of the one-vertex faces in a face set.
-    """
+    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup."""
 
     def __init__(self, field_guards):
         super().__init__()
         self.field_guards = field_guards
-        self.singles = sum(1 << (1 << j) for j in range(len(field_guards)))
 
     def __missing__(self, pattern: int) -> int:
         mask = sum(1 << j for j, bit in enumerate(self.field_guards) if pattern & bit)
@@ -330,23 +327,6 @@ class _Simplices(dict):
 def _simplices(layout: _Layout) -> _Simplices:
     """The `_Simplices` of a layout, shared by every scan on it."""
     return _Simplices([1 << (s + layout.bits) for s in layout.shifts])
-
-
-def _faces(p: int, packed, layout: _Layout, simplices: _Simplices) -> int:
-    """The face set of K^alpha(packed), alpha packed as p: the subsets of the facets of the g dividing x^alpha.
-
-    g divides x^alpha when q - g keeps every guard bit, q = p | G, and its
-    facet T_g = {j : g_j < alpha_j} is the guard pattern of (q - g) - ones:
-    a field keeps its guard bit exactly when alpha_j - g_j - 1 >= 0.
-    """
-    guards, ones = layout.guards, layout.ones
-    q = p | guards
-    faces = 0
-    for g in packed:
-        d = q - g
-        if d & guards == guards:
-            faces |= simplices[(d - ones) & guards]
-    return faces
 
 
 def _pivots(roots: list, layout: _Layout) -> dict:
@@ -373,7 +353,16 @@ def _pivots(roots: list, layout: _Layout) -> dict:
             for g in gens[:j]:
                 x = (m ^ ((m ^ g) & ~((((q - g) & guards) >> bits) * field))) & exps
                 lcms.add(x | ((x * up) & degree))
-            stack.append((_minimal_keys(sorted(lcms), layout), d + 1))
+            # a proper divisor has a lower key, so each key is tested against the kept ones
+            child = []
+            for p in sorted(lcms):
+                t = p | guards
+                for h in child:
+                    if (t - h) & guards == guards:
+                        break
+                else:
+                    child.append(p)
+            stack.append((child, d + 1))
     return pivots
 
 
@@ -397,7 +386,6 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)
     simplices = _simplices(layout)
-    field_guards, singles = simplices.field_guards, simplices.singles
     support = {0: (0, ((0, 1),))}
     for key, counts in _pivots(roots, layout).items():
         p = key & exps
@@ -405,17 +393,32 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
             (dim, b), = counts.items()
             support[p] = (key >> above, ((dim + 1, b),))
             continue
-        K = _faces(p, packed, layout, simplices)
-        full = ((p | guards) - ones) & guards  # the facet of g = 0, supp(alpha)
-        if K == simplices[full]:
-            continue  # K^alpha is the whole simplex
-        # alpha is no generator, so K has a vertex: take the last variable's,
-        # the highest one-vertex face, and reduce at its bit s
-        s = (K & singles).bit_length() - 1
-        faces = K & simplices[full ^ field_guards[s.bit_length() - 1]] & ~(K >> s)
-        betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
-        if betti:
-            support[p] = (key >> above, betti)
+        # The facets as in the module docstring; with g = 0 the same gives supp(alpha).
+        q = p | guards
+        full = (q - ones) & guards
+        facets, union = [], 0
+        for g in packed:
+            d = q - g
+            if d & guards == guards:
+                T = (d - ones) & guards
+                if T == full:
+                    break  # K^alpha is the whole simplex
+                facets.append(T)
+                union |= T
+        else:
+            # alpha is no generator, so K^alpha has a vertex: take the last
+            # variable's, the lowest guard bit
+            v = union & -union
+            kept = dropped = 0
+            for T in facets:
+                if T & v:
+                    dropped |= simplices[T ^ v]
+                else:
+                    kept |= simplices[T]
+            faces = kept & ~dropped
+            betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
+            if betti:
+                support[p] = (key >> above, betti)
     return layout, packed, support
 
 
@@ -434,7 +437,7 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     """
     a_layout, a_packed, a_support = _quotient_betti(A)
     b_layout, b_packed, b_support = _quotient_betti(B)
-    layout = max(a_layout, b_layout)  # layouts of one ring order by width
+    layout = a_layout if a_layout.bits >= b_layout.bits else b_layout
     if a_layout.bits < layout.bits and a_support:
         a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
     elif b_layout.bits < layout.bits and b_support:
@@ -461,11 +464,14 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     # faces F with x^(alpha - F) in A and not in B, from the facets.
     guards, ones = layout.guards, layout.ones
     for p, j in shared:
-        faces = _faces(p, a_packed, layout, simplices)
+        q = p | guards
+        faces = 0
+        for g in a_packed:
+            d = q - g
+            if d & guards == guards:
+                faces |= simplices[(d - ones) & guards]
         if not faces:
             continue
-        # K^alpha(B) is taken off facet by facet, to stop as soon as nothing is left
-        q = p | guards
         for g in b_packed:
             d = q - g
             if d & guards == guards:

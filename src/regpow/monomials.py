@@ -37,9 +37,10 @@ and its guard bit survives exactly when e_i >= h_i:
     h divides e  <=>  ((e | G) - h) & G == G.
 
 The rest is Herzog–Hibi, *Monomial Ideals*, GTM 260, §1.2: an
-intersection is generated by the pairwise lcms of the generators; I : u is
-generated by the g / gcd(g, u); and I : (u_1, ..., u_k) is the
-intersection of the I : u_j.
+intersection is generated by the pairwise lcms of the generators, where a
+generator of the first ideal that lies in the second stands for all of its
+lcms; I : u is generated by the g / gcd(g, u); and I : (u_1, ..., u_k) is
+the intersection of the I : u_j.
 
 The socle of S/I (`_socle_top`, which gives the saturation degree) is
 not built as I : m but searched by pivot splits, Roune's slice recursion
@@ -78,7 +79,7 @@ class MonomialSyntaxError(ValueError):
 class _Layout(NamedTuple):
     """The packed form of exponent vectors of nvars entries, each at most top; see `_layout`."""
 
-    bits: int  # value bits of a field, top.bit_length(); first, so layouts of one ring order by width
+    bits: int  # value bits of a field, top.bit_length()
     shifts: tuple  # the bit where each variable's field starts, variable 0 highest
     guards: int  # G, the guard (top) bit of every field
     field: int  # one field's mask, w bits
@@ -106,12 +107,13 @@ def _layout(nvars: int, top: int) -> _Layout:
     with one multiplication, ((x * up) >> above) & field: no partial sum of
     its fields carries into the field above them.
     """
-    width = top.bit_length() + 1
-    shifts = tuple(range(width * (nvars - 1), -1, -width))
-    guards = sum(1 << (s + width - 1) for s in shifts)
-    ones = guards >> (width - 1)
+    bits = top.bit_length()
+    width = bits + 1
     above = width * nvars
-    return _Layout(width - 1, shifts, guards, (1 << width) - 1, ones, above, (1 << above) - 1, ones << width)
+    field, exps = (1 << width) - 1, (1 << above) - 1
+    ones = exps // field  # 1 in every field: sum of 2^(w*i), i < nvars
+    shifts = tuple(range(above - width, -1, -width))
+    return _Layout(bits, shifts, ones << bits, field, ones, above, exps, ones << width)
 
 
 def _pack(e, shifts) -> int:
@@ -162,8 +164,24 @@ def _products(a, b) -> list:
 
 
 def _intersect(a, b) -> list:
-    """Minimal generators of (a) ∩ (b): the minimal pairwise lcms."""
-    return _minimal([tuple(map(max, g, h)) for g in a for h in b])
+    """Minimal generators of (a) ∩ (b): the minimal pairwise lcms.
+
+    A g of a that lies in (b) lies in the intersection and divides its lcms
+    with b, so it stands for them.  Only a is tested: the folds of
+    `saturate` and `_colon_ideal` pass their running intersection as a, and
+    its generators mostly lie in the next b.
+    """
+    if not a or not b:
+        return []
+    layout = _layout(len(a[0]), max(map(max, itertools.chain(a, b))))
+    pb = [_pack(h, layout.shifts) for h in b]
+    out = []
+    for g in a:
+        if _divides_any(pb, _pack(g, layout.shifts), layout.guards):
+            out.append(g)
+        else:
+            out += [tuple(map(max, g, h)) for h in b]
+    return _minimal(out)
 
 
 def _colon(gens, u) -> list:
@@ -177,29 +195,6 @@ def _colon_ideal(gens, divisors) -> list:
     for u in divisors[1:]:
         result = _intersect(result, _colon(gens, u))
     return result
-
-
-def _minimal_keys(keys, layout: _Layout) -> list:
-    """The minimal ones of distinct sorted keys, in order.
-
-    A proper divisor has a lower degree, and sorted keys run by degree, so
-    each key is tested only against the kept keys of lower degree.
-    """
-    guards, above = layout.guards, layout.above
-    kept, fresh, level = [], [], 0
-    for c in keys:
-        if c >> above != level:
-            kept += fresh
-            fresh.clear()
-            level = c >> above
-        q = c | guards
-        for h in kept:
-            if (q - h) & guards == guards:
-                break
-        else:
-            fresh.append(c)
-    kept += fresh
-    return kept
 
 
 def _split(keys, s: int, k: int, layout: _Layout) -> tuple:
@@ -228,7 +223,16 @@ def _split(keys, s: int, k: int, layout: _Layout) -> tuple:
             unchanged.append(g)
             plus.append(g)
     plus.append(p)
-    low = _minimal_keys(sorted(lowered), layout)
+    # sorted keys run by degree, the field above the exponents
+    lowered.sort()
+    low, fresh, level = [], [], 0
+    for c in lowered:
+        if c >> above != level:
+            low += fresh
+            fresh, level = [], c >> above
+        if not _divides_any(low, c, guards):
+            fresh.append(c)
+    low += fresh
     for c in unchanged:
         if not _divides_any(low[:bisect_left(low, c >> above << above)], c, guards):
             colon.append(c)

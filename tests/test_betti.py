@@ -434,6 +434,36 @@ def test_reduction_uses_the_last_variable(monkeypatch):
     assert checked >= 50
 
 
+def test_unused_variables_change_no_table(monkeypatch):
+    """In 44 variables, of which the ideals use the first 8, a table is the one in those 8 variables.
+
+    The tree, the facets and the blocks see only the variables of the
+    generators, so the wide ring builds nothing larger than the narrow one.
+    The modules are cycle t=3 ones that rank blocks of S/J and relative
+    blocks at shared points.
+    """
+    monkeypatch.delenv("REGPOW_CACHE", raising=False)
+    ranked = []
+
+    def recording(faces):
+        ranked.append(faces)
+        return _block_betti(faces)
+
+    monkeypatch.setattr(importlib.import_module("regpow.betti"), "_block_betti", recording)
+    presented = build(FamilySpec("cycle", t=3))
+    wide = ring(*(f"x{j}" for j in range(44)))
+
+    def widen(I):
+        return minimalize(wide, [Monomial(wide, g + (0,) * 36) for g in I._exps])
+
+    for kind, n in (("quotient", 1), ("diff", 2)):
+        M = presented.module_of(kind, n)
+        expected = betti_table(M).entries
+        ranked.clear()
+        assert betti_table(Subquotient(widen(M.numerator), widen(M.denominator))).entries == expected, (kind, n)
+        assert len(ranked) > 50, (kind, n)
+
+
 def test_facet_blocks_match_membership_oracle():
     """Bitmask facet blocks with integer rank against the former membership-test path.
 

@@ -168,17 +168,16 @@ def test_layout_invariants():
 
     unpack inverts packing, sorted keys run in (degree, tuple) order, the
     degree read ((x * up) >> above) & field is the degree while that fits a
-    field, the guard-bit test is tuple divisibility, and layouts of one ring
-    order by width.
+    field, and the guard-bit test is tuple divisibility.
     """
     rnd = random.Random(107)
     tops = [0] + [t for k in range(1, 6) for t in (2 ** k - 1, 2 ** k)]
     full_reads = set()
     for nv in (1, 2, 3, 5):
-        layouts = [_layout(nv, top) for top in tops]
-        assert sorted(layouts) == sorted(layouts, key=lambda layout: layout.bits)
-        for top, layout in zip(tops, layouts):
-            assert layout.bits == top.bit_length()
+        for top in tops:
+            layout = _layout(nv, top)
+            assert layout.bits == top.bit_length() and len(layout.shifts) == nv
+            assert layout.unpack(layout.ones) == (1,) * nv and layout.guards == layout.ones << layout.bits
             # a vector whose degree fills a field, where the entries allow it
             rest, edge = layout.field, []
             for _ in range(nv):
