@@ -437,10 +437,10 @@ def test_reduction_uses_the_last_variable(monkeypatch):
 def test_unused_variables_change_no_table(monkeypatch):
     """In 44 variables, of which the ideals use the first 8, a table is the one in those 8 variables.
 
-    The tree, the facets and the blocks see only the variables of the
-    generators, so the wide ring builds nothing larger than the narrow one.
-    The modules are cycle t=3 ones that rank blocks of S/J and relative
-    blocks at shared points.
+    Nothing is built per variable of the ring beyond the list of its guard
+    bits, so the wide ring costs about what the narrow one does.  The
+    modules are cycle t=3 ones that rank blocks of S/J and relative blocks
+    at shared points.
     """
     monkeypatch.delenv("REGPOW_CACHE", raising=False)
     ranked = []
