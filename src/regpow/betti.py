@@ -7,41 +7,58 @@ complex (K^alpha(A), K^alpha(B)), the faces F ⊆ {1..r} with x^(alpha - F)
 in A and not in B (Miller–Sturmfels, Combinatorial Commutative Algebra,
 Thm 1.34).  Its homology in face size i is Tor_i(A/B)_alpha.
 
-A table is composed from the multigraded Betti numbers of S/A and S/B,
-each computed once per ideal.  For S/J the numerator is the unit ideal, so
-its block at alpha is Δ_alpha minus K^alpha(J), Δ_alpha the simplex on
-supp(alpha).  With K^alpha(B) ⊆ K^alpha(A) ⊆ Δ_alpha, the blocks of
-0 → A/B → S/B → S/A → 0 form a short exact sequence of chain complexes at
-every alpha, hence the long exact sequence
+One lemma decides where a block must be ranked.  Let C be a complex of
+finite-dimensional vector spaces whose homology in position i is
+Tor_i(M)_alpha, with known dimensions c_i.  If every differential
+C_i → C_{i-1} has a zero end (c_i = 0 or c_{i-1} = 0), every differential
+is zero, each C_i is all cycles and no boundaries, and
+dim Tor_i(M)_alpha = c_i.  So where no two adjacent positions of C are
+nonzero at alpha, the c_i are the Betti numbers and no rank is taken;
+elsewhere the block at alpha is ranked.  Two complexes use it.
+
+S/J.  The support of S/J is found by a Mayer–Vietoris tree (E.
+Sáenz-de-Cabezón, "Multigraded Betti numbers without computing minimal
+free resolutions", AAECC 20, 2009).  Its root is J at dimension 0.  The
+node (m_1..m_k), generators sorted by degree, at dimension d counts each
+m_j as a pivot at d, and for each j > 1 it has a child at d + 1, the
+ideal N_{j-1} ∩ (m_j) of the minimal lcm(m_i, m_j), i < j, where
+N_j = (m_1..m_j).  The sequence 0 → N_{j-1} ∩ (m_j) → N_{j-1} ⊕ (m_j) → N_j → 0
+resolves N_j by the mapping cone of a lift of its left map: position i
+holds those of N_{j-1} and (m_j) in position i and the child's in
+position i - 1.  Unrolled over the tree, J gets a free resolution with
+one basis element of multidegree alpha in position i for each pivot at
+alpha in dimension i, and S/J one with S in position 0 and, in position
+i ≥ 1, one for each pivot at alpha in dimension i - 1.  Tor(S/J)_alpha is
+the homology of this resolution tensored with k at alpha, so by the
+lemma the pivot counts are the Betti numbers wherever no two pivot
+dimensions at alpha are adjacent, Tor_{d+1}(S/J)_alpha being the count at
+d.  Tor is a subquotient of that complex, so every support point is a
+pivot and none is missed.  Above dimension 0 a pivot is the lcm of two or
+more generators, so a generator is a pivot once, at dimension 0, and is
+never ranked.
+
+A/B.  A table is composed from the multigraded Betti numbers of S/A and
+S/B, each computed once per ideal.  For S/J the numerator is the unit
+ideal, so its block at alpha is Δ_alpha minus K^alpha(J), Δ_alpha the
+simplex on supp(alpha).  With K^alpha(B) ⊆ K^alpha(A) ⊆ Δ_alpha, the blocks
+of 0 → A/B → S/B → S/A → 0 form a short exact sequence of chain complexes
+at every alpha, hence the long exact sequence
 
     … → Tor_{i+1}(S/A)_alpha → Tor_i(A/B)_alpha → Tor_i(S/B)_alpha → Tor_i(S/A)_alpha → …
 
-Where Tor(S/A)_alpha vanishes in every degree it gives
-Tor_i(A/B)_alpha ≅ Tor_i(S/B)_alpha; where Tor(S/B)_alpha vanishes it gives
-Tor_i(A/B)_alpha ≅ Tor_{i+1}(S/A)_alpha, one homological degree down; where
-both vanish, Tor(A/B)_alpha = 0.  Only at the points of both supports is
-the relative block of (A, B) ranked.  So A = S gives S/B's Betti numbers
-(S/S = 0 has empty support), and B = 0 gives S/0 = S the support {0}.  The
-shift never reaches degree -1: Tor_0(S/A) lives only at 0, which S/B ≠ 0
-shares.
-
-The support of S/J is found by a Mayer–Vietoris tree (E. Sáenz-de-Cabezón,
-"Multigraded Betti numbers without computing minimal free resolutions",
-AAECC 20, 2009).  Its root is J at dimension 0.  The node (m_1..m_k),
-generators sorted by degree, at dimension d counts each m_j as a pivot at
-d, and for each j > 1 it has a child at d + 1, the minimal lcm(m_i, m_j)
-for i < j.  At a node, take the Mayer–Vietoris sequence
-0 → J' ∩ (m_k) → J' ⊕ (m_k) → J → 0 at alpha, where J' is the node without
-m_k and J' ∩ (m_k) is the child, and induct over the tree.  If alpha is a
-pivot in one dimension d only, the Tor of every node at alpha lives in one
-homological degree, and the child's is one lower, so every map from the
-child's Tor into that of J' ⊕ (m_k) at alpha is zero; the long exact
-sequence splits into short exact pieces, the counts add up, and
-Tor_{d+1}(S/J)_alpha is the pivot count.  The same sequence shows that
-every support point of J is a pivot somewhere, so none is missed.  A
-pivot in several dimensions is ranked, by its block at that one point.
-Above dimension 0 a pivot is the lcm of two or more generators, so a
-generator is a pivot once, at dimension 0, and is never ranked.
+With f_i the map Tor_i(S/B)_alpha → Tor_i(S/A)_alpha, it gives
+dim Tor_i(A/B)_alpha = dim ker f_i + dim coker f_{i+1}, the homology in
+position i of the cone of the f_i: Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha
+in position i, whose only maps are the f_i.  By the lemma, where
+Tor(S/A)_alpha and Tor(S/B)_alpha share no homological degree,
+Tor_i(A/B)_alpha is Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha, and only where
+they share one is the relative block of (A, B) ranked.  Off either
+support that is the other support's Tor (one degree down for S/A), and
+off both it is 0.  So A = S gives S/B's Betti numbers (S/S = 0 has empty
+support), and B = 0 gives S/0 = S the support {0}.  The shift never
+reaches degree -1: Tor_0(S/A) lives only at 0, and only when A ≠ S; then
+Tor_0(S/B) shares its degree, so 0 is ranked, and its relative block is
+empty.
 
 The tree runs on the keys (`monomials._keys`) of the ideal's layout
 `_layout(r, D)`, D the degree of its lcm box (at least 1), and a node is
@@ -49,7 +66,9 @@ its keys in increasing order.  lcm(g, m) keeps m's field
 where m_i >= g_i, that is where the guard bit of (m | G) - g survives, and
 takes g's elsewhere.  Its degree is read with one multiplication, as no
 sum of fields exceeds D.  A child keeps each lcm that no lower kept key
-divides, by the same guard-bit test.
+divides, by the same guard-bit test.  As it counts, the tree notes each
+key that becomes a pivot in two adjacent dimensions, so the lemma costs
+one set lookup per key.
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
@@ -71,8 +90,15 @@ generator g of A with g | x^alpha has the facet T_g = {j : g_j < alpha_j},
 and the faces of K^alpha(A) are the subsets of some T_g (likewise for B).
 With q = x^alpha | G, g divides x^alpha exactly when q - g keeps every
 guard bit, and T_g is the guard pattern of (q - g) - ones.  A face is a
-bitmask of variables, and a complex is a face set, one int with bit F set
-for each face F, so the block is K^alpha(A) & ~K^alpha(B).
+bitmask of the vertices of supp(alpha), vertex k its k-th variable (the
+k-th highest guard bit of its guard pattern), and a complex is a face set,
+one int with bit F set for each face F, so the block is
+K^alpha(A) & ~K^alpha(B).  A face set thus has at most 2^|supp(alpha)|
+bits, however many variables the ring has and whichever of them alpha
+uses, and blocks that differ only in those variables share one memo
+entry.  The vertices keep the variables' order, so faces are listed, and
+their boundary matrices eliminated, in the order they had when vertex j
+was variable j; Bareiss elimination is slower on the reverse order.
 Its boundary matrices have entries 0 and ±1 and are ranked exactly over
 the integers by fraction-free (Bareiss) elimination.  Blocks repeat a lot
 across points and tables, so their homology is memoized on the face set
@@ -87,7 +113,7 @@ ideals (J_n is the denominator of R/I^n and of I^(n-1)/I^n and the
 numerator of I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each
 tree once.  A table meets the two supports in the wider of the two
 layouts.  It repacks the narrower ideal's support only if it is nonempty,
-and its generators only if the supports share a point.
+and its generators for the points where the two share a degree.
 
 Every pivot lies in the componentwise-lcm box of the generators, so the
 box degree plus r still bounds every degree j with a nonzero Betti number.
@@ -98,7 +124,9 @@ homology.  `betti_bidegree`, rank-nullity on the full bidegree matrices
 of K ⊗ A/B ranked by rational Gaussian elimination, is kept as an
 independent cross-check.
 
-The disk cache (`REGPOW_CACHE`, or `cache_path=`) is a pure accelerator.
+The disk cache (`REGPOW_CACHE`) is a pure accelerator.  The
+`cache_path=` argument of `betti_table`, a second way to set the same
+path, was removed.
 Its file is one JSON object mapping a key to {"search_bound", "entries"};
 the key is the SHA-256 of a format tag (`CACHE_FORMAT`), the ring and
 both generating sets, so records under another tag are misses.  A process
@@ -247,16 +275,6 @@ def _rank_int(rows) -> int:
     return rank
 
 
-def _simplex(mask: int) -> int:
-    """The face set of the full simplex on the vertex bitmask `mask`: bit S set for every S ⊆ mask."""
-    faces = 1
-    while mask:
-        low = mask & -mask
-        faces |= faces << low
-        mask ^= low
-    return faces
-
-
 def _levels(faces: int) -> dict:
     """The faces of a face set by size, each list in increasing bitmask order."""
     levels = {}
@@ -311,39 +329,56 @@ def _block_betti(faces: int) -> tuple:
 
 
 class _Simplices(dict):
-    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup."""
+    """Guard pattern of a facet -> face set of the simplex on it, filled on first lookup.
 
-    def __init__(self, field_guards):
+    The facets lie in one support, given by its guard pattern, and vertex k
+    is the k-th highest guard bit of it, the support's k-th variable: a face
+    is a bitmask of vertices, and a face set has bit S set for every face S.
+    """
+
+    def __init__(self, support: int):
         super().__init__()
-        self.field_guards = field_guards
+        self.support = support
 
     def __missing__(self, pattern: int) -> int:
-        mask = sum(1 << j for j, bit in enumerate(self.field_guards) if pattern & bit)
-        faces = self[pattern] = _simplex(mask)
+        faces, rest = 1, pattern
+        while rest:
+            low = rest & -rest
+            faces |= faces << (1 << (self.support >> low.bit_length()).bit_count())
+            rest ^= low
+        self[pattern] = faces
         return faces
 
 
-@lru_cache(maxsize=64)
-def _simplices(layout: _Layout) -> _Simplices:
-    """The `_Simplices` of a layout, shared by every scan on it."""
-    return _Simplices([1 << (s + layout.bits) for s in layout.shifts])
+@lru_cache(maxsize=4096)
+def _simplices(support: int) -> _Simplices:
+    """The `_Simplices` of a support's guard pattern, shared by every point with that support."""
+    return _Simplices(support)
 
 
-def _pivots(roots: list, layout: _Layout) -> dict:
-    """key -> {d: number of pivots at the key in dimension d} over the Mayer–Vietoris tree of roots.
+def _pivots(roots: list, layout: _Layout) -> tuple:
+    """(pivots, adjacent) over the Mayer–Vietoris tree of roots.
 
-    roots are the generators' keys (`_keys`), in a layout with room for the
-    degree of their lcm box.
+    pivots maps each key to {i: number of pivots at the key in dimension
+    i - 1}, the rank at the key of position i of the tree's mapping-cone
+    resolution of S/J; adjacent holds the keys with pivots in two adjacent
+    dimensions.  roots are the generators' keys (`_keys`), in a layout with
+    room for the degree of their lcm box.
     """
     bits, guards, field, exps, up = layout.bits, layout.guards, layout.field, layout.exps, layout.up
     degree = field << layout.above
-    pivots = {}
-    stack = [(roots, 0)]
+    pivots, adjacent = {}, set()
+    stack = [(roots, 1)]
     while stack:
-        gens, d = stack.pop()
+        gens, i = stack.pop()
         for j, m in enumerate(gens):
-            counts = pivots.setdefault(m, {})
-            counts[d] = counts.get(d, 0) + 1
+            counts = pivots.get(m)
+            if counts is None:
+                pivots[m] = {i: 1}
+            else:
+                counts[i] = counts.get(i, 0) + 1
+                if i - 1 in counts or i + 1 in counts:
+                    adjacent.add(m)
             if not j:
                 continue
             # lcm(g, m) keeps m's field where m_i >= g_i (its guard bit survives
@@ -362,8 +397,8 @@ def _pivots(roots: list, layout: _Layout) -> dict:
                         break
                 else:
                     child.append(p)
-            stack.append((child, d + 1))
-    return pivots
+            stack.append((child, i + 1))
+    return pivots, adjacent
 
 
 @lru_cache(maxsize=64)
@@ -375,9 +410,10 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     multidegree alpha with Tor(S/ideal)_alpha != 0, packed in that layout,
     to (|alpha|, ((i, beta_{i,alpha}), ...)).  Both are read off the keys of
     the ideal's Mayer–Vietoris tree: the key less its degree field, and that
-    field.  A pivot of several dimensions is ranked by its block reduced at
-    one vertex, as in the module docstring.  The unit ideal has no support
-    and gets the narrowest layout, `_layout(r, 0)`, before any packing.
+    field.  The pivot counts are the Betti numbers where no two of their
+    positions are adjacent; elsewhere the block is ranked, reduced at one
+    vertex, as in the module docstring.  The unit ideal has no support and
+    gets the narrowest layout, `_layout(r, 0)`, before any packing.
     """
     if ideal.is_unit():
         return _layout(ideal.ring.nvars, 0), (), {}
@@ -385,13 +421,12 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
     guards, ones, above, exps = layout.guards, layout.ones, layout.above, layout.exps
     roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)
-    simplices = _simplices(layout)
     support = {0: (0, ((0, 1),))}
-    for key, counts in _pivots(roots, layout).items():
+    pivots, adjacent = _pivots(roots, layout)
+    for key, counts in pivots.items():
         p = key & exps
-        if len(counts) == 1:
-            (dim, b), = counts.items()
-            support[p] = (key >> above, ((dim + 1, b),))
+        if key not in adjacent:  # the lemma: the counts are the Betti numbers
+            support[p] = (key >> above, tuple(counts.items()))
             continue
         # The facets as in the module docstring; with g = 0 the same gives supp(alpha).
         q = p | guards
@@ -409,6 +444,7 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
             # alpha is no generator, so K^alpha has a vertex: take the last
             # variable's, the lowest guard bit
             v = union & -union
+            simplices = _simplices(full)
             kept = dropped = 0
             for T in facets:
                 if T & v:
@@ -433,7 +469,9 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
     """Yield (alpha, |alpha|, ((i, beta_i), ...)) for each multidegree alpha with Tor(A/B)_alpha != 0.
 
     alpha is packed in the wider of the two ideals' layouts; the narrower
-    ideal is repacked into it as far as it is needed.
+    ideal is repacked into it as far as it is needed.  Where the composition
+    splits, a point is yielded twice, once with the pairs of S/B and once with
+    those of S/A one degree down, and the values of one i add.
     """
     a_layout, a_packed, a_support = _quotient_betti(A)
     b_layout, b_packed, b_support = _quotient_betti(B)
@@ -442,29 +480,29 @@ def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
         a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
     elif b_layout.bits < layout.bits and b_support:
         b_support = dict(zip(_repack(b_support, b_layout, layout), b_support.values()))
-    # Off supp(S/A) Tor_i(A/B) is Tor_i(S/B), and off supp(S/B) it is
-    # Tor_{i+1}(S/A); only the common points need the relative block.
-    shared = []
-    for p, (j, betti) in b_support.items():
-        if p in a_support:
-            shared.append((p, j))
-        else:
-            yield p, j, betti
+    # Where Tor(S/A)_alpha and Tor(S/B)_alpha share no homological degree,
+    # Tor_i(A/B)_alpha is Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha (the lemma):
+    # each support yields its own pairs there, S/A's one degree down.  Only
+    # the points where the two share a degree need the relative block.
+    shared = {}
     for p, (j, betti) in a_support.items():
-        if p not in b_support:
-            yield p, j, tuple((i - 1, b) for i, b in betti)
-    if not shared:
-        return
+        if p in b_support and not {i for i, _ in betti}.isdisjoint([i for i, _ in b_support[p][1]]):
+            shared[p] = j
+        else:
+            yield p, j, tuple([(i - 1, b) for i, b in betti])
+    for p, (j, betti) in b_support.items():
+        if p not in shared:
+            yield p, j, betti
     if a_layout.bits < layout.bits:
         a_packed = _repack(a_packed, a_layout, layout)
     elif b_layout.bits < layout.bits:
         b_packed = _repack(b_packed, b_layout, layout)
-    simplices = _simplices(layout)
     # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
     # faces F with x^(alpha - F) in A and not in B, from the facets.
     guards, ones = layout.guards, layout.ones
-    for p, j in shared:
+    for p, j in shared.items():
         q = p | guards
+        simplices = _simplices((q - ones) & guards)
         faces = 0
         for g in a_packed:
             d = q - g
@@ -620,10 +658,9 @@ def _betti_table_memo(module: Subquotient) -> BettiTable:
     return _compute_betti_table(module)
 
 
-def betti_table(module: Subquotient, cache_path: str = None) -> BettiTable:
-    """Complete Betti table of the module; the disk cache is a pure accelerator."""
-    if cache_path is None:
-        cache_path = os.environ.get(CACHE_ENV)
+def betti_table(module: Subquotient) -> BettiTable:
+    """Complete Betti table of the module; the disk cache (`REGPOW_CACHE`) is a pure accelerator."""
+    cache_path = os.environ.get(CACHE_ENV)
     if cache_path:
         path = os.path.abspath(cache_path)
         key = _canonical_key(module)

@@ -30,6 +30,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.betti import (
+    CACHE_ENV,
     _betti_table_memo,
     _block_betti,
     _boundary,
@@ -41,7 +42,7 @@ from regpow.betti import (
     _quotient_betti,
     _rank_dense,
     _rank_int,
-    _simplex,
+    _Simplices,
     _tor_by_multidegree,
     deferred_cache_writes,
 )
@@ -230,6 +231,16 @@ def test_lattice_betti_tables_match_box_oracle():
     assert seen == {"artinian", "not artinian", "zero denominator", "unit numerator"}
 
 
+def _simplex(mask: int) -> int:
+    """The face set of the full simplex on the vertex bitmask `mask`: bit S set for every S ⊆ mask."""
+    faces = 1
+    while mask:
+        low = mask & -mask
+        faces |= faces << low
+        mask ^= low
+    return faces
+
+
 def _is_cone(faces: list) -> bool:
     """Whether some vertex v lies in every facet, i.e. F ∪ {v} is a face for every face F."""
     faces = {frozenset(F) for F in faces}
@@ -241,13 +252,17 @@ def _tree_pivots(ideal) -> list:
     """The packed tree's (alpha, {d: count}) items of the ideal, in tree order, decoded to tuples.
 
     The roots are the generators' keys in the layout `_quotient_betti` picks.
+    `_pivots` counts by resolution position i = d + 1; its set of keys with
+    pivots in two adjacent dimensions is checked here against the counts.
     """
     layout = _quotient_betti(ideal)[0]
+    pivots, adjacent = _pivots(_keys(ideal._exps, layout), layout)
+    assert adjacent == {key for key, counts in pivots.items() if any(i + 1 in counts for i in counts)}, ideal
     items = []
-    for key, counts in _pivots(_keys(ideal._exps, layout), layout).items():
+    for key, counts in pivots.items():
         alpha = layout.unpack(key)
         assert key >> layout.above == sum(alpha), (ideal, alpha)
-        items.append((alpha, counts))
+        items.append((alpha, {i - 1: c for i, c in counts.items()}))
     return items
 
 
@@ -304,21 +319,36 @@ def test_tree_support_matches_block_oracle():
 
 
 def test_tree_pivot_cases():
-    """A pivot of one dimension is read off its count; one of several dimensions is ranked.
+    """Pivot counts are read off where no two of their dimensions are adjacent; elsewhere the block is ranked.
 
     J = (y^3, x^2z^2, x^2yz): x^2y^3z^2 = lcm(y^3, x^2z^2) is a pivot at
     dimension 1, and again at 2 below the node (x^2yz^2, x^2y^3z); the Taylor
-    complex is not minimal there, and its block ranks to zero.
+    complex is not minimal there, and its block ranks to zero.  In
+    (wuv, zu, yu, xu, xyzwv) the squarefree point xyzwuv is a pivot at
+    dimensions 1 and 3, which are not adjacent, so beta_2 = beta_4 = 1 there
+    with no rank taken.
     """
-    r = ring("x", "y", "z")
+    r, r6 = ring("x", "y", "z"), ring(*"xyzwuv")
     cases = {
         "single pivot": (ideal(r, ["x", "y"]), (1, 1, 0), {1: 1}, {2: 1}),
         "repeated in one dimension": (ideal(r, ["x*y", "x*z", "y*z"]), (1, 1, 1), {1: 2}, {2: 2}),
         "ranks to zero": (ideal(r, ["y^3", "x^2*z^2", "x^2*y*z"]), (2, 3, 2), {1: 1, 2: 1}, {}),
+        "dimensions apart": (ideal(r6, ["w*u*v", "z*u", "y*u", "x*u", "x*y*z*w*v"]), (1,) * 6,
+                             {1: 1, 3: 1}, {2: 1, 4: 1}),
     }
     for name, (J, alpha, counts, betti) in cases.items():
         assert dict(_tree_pivots(J))[alpha] == counts, name
         assert dict(_support(J).get(alpha, (0, ()))[1]) == betti == _oracle_support(J).get(alpha, {}), name
+    ranked = []
+
+    def recording(faces):
+        ranked.append(faces)
+        return _block_betti(faces)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("regpow.betti"), "_block_betti", recording)
+        _quotient_betti.__wrapped__(cases["dimensions apart"][0])
+    assert ranked == []
     # over seeded random ideals: every case occurs, the oracle agrees at
     # every pivot, and a generator is a pivot once, at dimension 0, so it is
     # never ranked
@@ -336,13 +366,13 @@ def test_tree_pivot_cases():
         for alpha, counts in pivots.items():
             betti = dict(support[alpha][1]) if alpha in support else {}
             assert betti == oracle.get(alpha, {}), (J, alpha)
-            if len(counts) > 1:
-                seen.add("several dimensions" if betti else "ranks to zero")
+            if any(d + 1 in counts for d in counts):
+                seen.add("adjacent dimensions" if betti else "ranks to zero")
             else:
-                (d, b), = counts.items()
-                assert betti == {d + 1: b}, (J, alpha)
-                seen.add("single pivot" if b == 1 else "repeated in one dimension")
-    assert seen == {"single pivot", "repeated in one dimension", "several dimensions", "ranks to zero"}
+                assert betti == {d + 1: b for d, b in counts.items()}, (J, alpha)
+                seen.add("dimensions apart" if len(counts) > 1 else
+                         "single pivot" if set(counts.values()) == {1} else "repeated in one dimension")
+    assert seen == {"single pivot", "repeated in one dimension", "adjacent dimensions", "ranks to zero"}, seen
 
 
 def test_packed_tree_matches_tuple_tree():
@@ -381,11 +411,13 @@ def test_packed_tree_matches_tuple_tree():
 
 
 def test_reduction_uses_the_last_variable(monkeypatch):
-    """The block of S/J at a pivot of several dimensions is shrunk at the last variable of its facets.
+    """The block of S/J at a pivot of adjacent dimensions is shrunk at the last variable of its facets.
 
     Every vertex gives the same homology, so only the blocks handed to
     `_block_betti` show which vertex was used; they are rebuilt here from
-    the facets T_g = {j : g_j < alpha_j} with v = max of their union.
+    the facets T_g = {j : g_j < alpha_j} with v = max of their union.  A
+    face numbers the variables of supp(alpha) in order, so variable j is
+    vertex #{k in supp(alpha) : k < j}.
     """
     ranked = []
 
@@ -411,11 +443,13 @@ def test_reduction_uses_the_last_variable(monkeypatch):
         _quotient_betti.__wrapped__(J)
         expected = []
         for alpha, counts in _block_oracle.pivots(J._exps).items():
-            if len(counts) == 1:
-                continue
-            facets = [sum(1 << j for j in range(s.nvars) if g[j] < alpha[j])
+            if not any(d + 1 in counts for d in counts):
+                continue  # the counts are the Betti numbers
+            supp = [j for j in range(s.nvars) if alpha[j]]
+            vertex = {j: k for k, j in enumerate(supp)}
+            facets = [sum(1 << vertex[j] for j in supp if g[j] < alpha[j])
                       for g in J._exps if all(map(int.__le__, g, alpha))]
-            if any(T == sum(1 << j for j in range(s.nvars) if alpha[j]) for T in facets):
+            if any(T == (1 << len(supp)) - 1 for T in facets):
                 continue  # a facet is all of supp(alpha): K^alpha is the whole simplex
             union = 0
             for T in facets:
@@ -435,14 +469,16 @@ def test_reduction_uses_the_last_variable(monkeypatch):
 
 
 def test_unused_variables_change_no_table(monkeypatch):
-    """In 44 variables, of which the ideals use the first 8, a table is the one in those 8 variables.
+    """In 44 variables, of which the ideals use 8, a table is the one in those 8 variables.
 
-    Nothing is built per variable of the ring beyond the list of its guard
-    bits, so the wide ring costs about what the narrow one does.  The
-    modules are cycle t=3 ones that rank blocks of S/J and relative blocks
-    at shared points.
+    The 8 are the first or the last of the ring.  Nothing is built per
+    variable of the ring beyond its layout, and a block numbers its vertices
+    within supp(alpha), so its face sets have 2^|supp(alpha)| bits however
+    high the variables' indices are: the wide ring costs about what the
+    narrow one does.  The modules are cycle t=3 ones that rank blocks of S/J
+    and relative blocks at shared points.
     """
-    monkeypatch.delenv("REGPOW_CACHE", raising=False)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
     ranked = []
 
     def recording(faces):
@@ -453,22 +489,28 @@ def test_unused_variables_change_no_table(monkeypatch):
     presented = build(FamilySpec("cycle", t=3))
     wide = ring(*(f"x{j}" for j in range(44)))
 
-    def widen(I):
-        return minimalize(wide, [Monomial(wide, g + (0,) * 36) for g in I._exps])
+    def widen(I, first):
+        pad = (0,) * 36
+        return minimalize(wide, [Monomial(wide, g + pad if first else pad + g) for g in I._exps])
 
     for kind, n in (("quotient", 1), ("diff", 2)):
         M = presented.module_of(kind, n)
         expected = betti_table(M).entries
-        ranked.clear()
-        assert betti_table(Subquotient(widen(M.numerator), widen(M.denominator))).entries == expected, (kind, n)
-        assert len(ranked) > 50, (kind, n)
+        for first in (True, False):
+            ranked.clear()
+            table = betti_table(Subquotient(widen(M.numerator, first), widen(M.denominator, first)))
+            assert table.entries == expected, (kind, n, first)
+            assert len(ranked) > 50, (kind, n, first)
+            assert max(ranked).bit_length() <= 1 << 8, (kind, n, first)
 
 
 def test_facet_blocks_match_membership_oracle():
     """Bitmask facet blocks with integer rank against the former membership-test path.
 
     The table, and the composed Tor(A/B) at every point of L(A) ∪ L(B),
-    equal the direct relative block of (A, B) there.
+    equal the direct relative block of (A, B) there: at the points of both
+    supports that share a homological degree the block is ranked, and at
+    those that share none Tor(S/B) and Tor(S/A) one degree down add.
     """
     rnd = random.Random(59)
     modules = []
@@ -514,8 +556,13 @@ def test_facet_blocks_match_membership_oracle():
                     break
         if A == B:
             continue
-        layout = max(_quotient_betti(A)[0], _quotient_betti(B)[0])  # the wider one
-        composed = {layout.unpack(p): dict(betti) for p, _, betti in _tor_by_multidegree(A, B)}
+        layout = max(_quotient_betti(A)[0], _quotient_betti(B)[0], key=lambda layout: layout.bits)
+        # a point where the composition splits comes once from each support, so the pairs add
+        composed = {}
+        for p, _, betti in _tor_by_multidegree(A, B):
+            at = composed.setdefault(layout.unpack(p), {})
+            for i, b in betti:
+                at[i] = at.get(i, 0) + b
         points = _block_oracle.lcm_closure_by_frontier(a_exps) | _block_oracle.lcm_closure_by_frontier(b_exps)
         assert set(composed) <= points, (A, B)
         supp_a, supp_b = _support(A), _support(B)
@@ -523,13 +570,16 @@ def test_facet_blocks_match_membership_oracle():
             levels = _block_oracle.block_levels(alpha, a_exps, b_exps)
             direct = _block_oracle.block_betti(levels, A.ring.nvars) if levels else {}
             assert composed.get(alpha, {}) == direct, (A, B, alpha)
-            if alpha in supp_a or alpha in supp_b:
-                seen.add("in both supports" if alpha in supp_a and alpha in supp_b
-                         else "only in supp(S/A)" if alpha in supp_a else "only in supp(S/B)")
+            if alpha in supp_a and alpha in supp_b:
+                shares = {i for i, _ in supp_a[alpha][1]} & {i for i, _ in supp_b[alpha][1]}
+                seen.add("both supports, shared degree" if shares else "both supports, no shared degree")
+            elif alpha in supp_a or alpha in supp_b:
+                seen.add("only in supp(S/A)" if alpha in supp_a else "only in supp(S/B)")
     assert cases >= 500
     assert seen == {
         "zero denominator", "unit numerator", "non-cone B-complex", "box top on a field edge",
-        "only in supp(S/B)", "only in supp(S/A)", "in both supports",
+        "only in supp(S/B)", "only in supp(S/A)",
+        "both supports, no shared degree", "both supports, shared degree",
     }
 
 
@@ -590,6 +640,12 @@ def test_simplex_face_set():
     assert _simplex(0) == 1
     assert _simplex(0b101) == sum(1 << S for S in (0b000, 0b001, 0b100, 0b101))
     assert _levels(_simplex(0b111)) == {0: [0], 1: [1, 2, 4], 2: [3, 5, 6], 3: [7]}
+    # within a support, vertex k is its k-th highest bit, whatever the bits' positions
+    support = (1 << 40) | (1 << 21) | (1 << 3)
+    assert _Simplices(support)[1 << 40] == _simplex(0b001)
+    assert _Simplices(support)[1 << 3] == _simplex(0b100)
+    assert _Simplices(support)[(1 << 21) | (1 << 3)] == _simplex(0b110)
+    assert _Simplices(support)[support] == _simplex(0b111)
 
 
 def test_block_memo_is_bounded_and_transparent():
@@ -656,14 +712,21 @@ def test_rank_of_piece_on_known_matrix():
     assert _rank_dense(rows) == 1
 
 
+def _cached(M, cache):
+    """betti_table(M) with the disk cache at `cache`, set by its environment variable."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_ENV, str(cache))
+        return betti_table(M)
+
+
 def test_disk_cache_is_a_pure_accelerator(tmp_path):
     r = ring("x", "y", "z")
     M = quotient_ring(ideal(r, ["x^2", "x*y", "z^3"]))
     plain = betti_table(M)
     cache = tmp_path / "betti.json"
-    first = betti_table(M, cache_path=str(cache))
+    first = _cached(M, cache)
     assert cache.exists()
-    second = betti_table(M, cache_path=str(cache))
+    second = _cached(M, cache)
     assert first.entries == plain.entries == second.entries
     assert first.search_bound == plain.search_bound == second.search_bound
     data = json.loads(cache.read_text())
@@ -677,7 +740,7 @@ def test_corrupted_cache_file_is_ignored(tmp_path):
     cache = tmp_path / "betti.json"
     for text in ("not json at all", "[]", '"str"', json.dumps({key: {"entries": 5}})):
         cache.write_text(text)
-        table = betti_table(M, cache_path=str(cache))
+        table = _cached(M, cache)
         assert table.entries == betti_table(M).entries, text
         assert key in json.loads(cache.read_text()), text
 
@@ -706,12 +769,12 @@ def _fail_cache_writes(monkeypatch):
 def test_interrupted_cache_write_keeps_the_previous_file(tmp_path, monkeypatch):
     r = ring("x", "y")
     cache = tmp_path / "betti.json"
-    betti_table(quotient_ring(ideal(r, ["x^2", "y^2"])), cache_path=str(cache))
+    _cached(quotient_ring(ideal(r, ["x^2", "y^2"])), cache)
     before = cache.read_text()
 
     _fail_cache_writes(monkeypatch)
     M = quotient_ring(ideal(r, ["x^3", "y"]))
-    assert betti_table(M, cache_path=str(cache)).entries == betti_table(M).entries
+    assert _cached(M, cache).entries == betti_table(M).entries
     assert cache.read_text() == before
     assert len(json.loads(before)) == 1
     assert list(tmp_path.iterdir()) == [cache]
@@ -723,7 +786,7 @@ def test_interrupted_deferred_write_keeps_the_previous_file(tmp_path, monkeypatc
     X = PresentedIdeal(zero_ideal(r), ideal(r, ["x^2", "x*y"]))
     expected = defect_report(X, "reg_quotient", 1, 4).values
     cache = tmp_path / "betti.json"
-    betti_table(quotient_ring(ideal(r, ["x^2", "y^2"])), cache_path=str(cache))
+    _cached(quotient_ring(ideal(r, ["x^2", "y^2"])), cache)
     before = cache.read_text()
 
     _fail_cache_writes(monkeypatch)
@@ -767,7 +830,7 @@ def test_cache_key_carries_the_format_tag(tmp_path):
     assert untagged != key
     cache = tmp_path / "betti.json"
     _replace_cache_file(cache, {untagged: _MARKER})
-    table = betti_table(M, cache_path=str(cache))
+    table = _cached(M, cache)
     assert table.entries == betti_table(M).entries
     assert table.search_bound != 99
     assert set(json.loads(cache.read_text())) == {untagged, key}
@@ -780,11 +843,11 @@ def test_cache_file_is_parsed_once_per_process(tmp_path, monkeypatch):
     cache = tmp_path / "betti.json"
     _replace_cache_file(cache, {_canonical_key(M): _MARKER})
     parses = _count_parses(monkeypatch)
-    assert betti_table(M, cache_path=str(cache)).search_bound == 99
+    assert _cached(M, cache).search_bound == 99
     assert len(parses) == 1
-    betti_table(M, cache_path=str(cache))  # hit
-    betti_table(N, cache_path=str(cache))  # miss, written through
-    assert betti_table(N, cache_path=str(cache)).entries == betti_table(N).entries  # hit
+    _cached(M, cache)  # hit
+    _cached(N, cache)  # miss, written through
+    assert _cached(N, cache).entries == betti_table(N).entries  # hit
     assert len(parses) == 1
 
 
@@ -793,13 +856,13 @@ def test_replaced_cache_file_is_parsed_again(tmp_path, monkeypatch):
     M = quotient_ring(ideal(r, ["x^2", "y^2"]))
     N = quotient_ring(ideal(r, ["x^3", "x*y"]))
     cache = tmp_path / "betti.json"
-    betti_table(M, cache_path=str(cache))
+    _cached(M, cache)
     parses = _count_parses(monkeypatch)
     _replace_cache_file(cache, {_canonical_key(N): _MARKER})
-    assert betti_table(N, cache_path=str(cache)).search_bound == 99
+    assert _cached(N, cache).search_bound == 99
     assert len(parses) == 1
-    betti_table(N, cache_path=str(cache))  # hit
-    betti_table(M, cache_path=str(cache))  # miss: the other writer's file lacks M
+    _cached(N, cache)  # hit
+    _cached(M, cache)  # miss: the other writer's file lacks M
     assert len(parses) == 1
     data = json.loads(cache.read_text())
     assert set(data) == {_canonical_key(M), _canonical_key(N)}
@@ -811,12 +874,12 @@ def test_deferred_records_are_read_before_they_are_written(tmp_path, monkeypatch
     M = quotient_ring(ideal(r, ["x^3", "y^2"]))
     cache = tmp_path / "betti.json"
     with deferred_cache_writes():
-        table = betti_table(M, cache_path=str(cache))
+        table = _cached(M, cache)
         assert not cache.exists()
         with monkeypatch.context() as patch:
             # A second lookup in the scope must come from the pending record, not the engine.
             patch.setattr(importlib.import_module("regpow.betti"), "_betti_table_memo", None)
-            assert betti_table(M, cache_path=str(cache)).entries == table.entries
+            assert _cached(M, cache).entries == table.entries
     assert list(json.loads(cache.read_text())) == [_canonical_key(M)]
 
 
