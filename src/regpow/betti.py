@@ -51,14 +51,29 @@ dim Tor_i(A/B)_alpha = dim ker f_i + dim coker f_{i+1}, the homology in
 position i of the cone of the f_i: Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha
 in position i, whose only maps are the f_i.  By the lemma, where
 Tor(S/A)_alpha and Tor(S/B)_alpha share no homological degree,
-Tor_i(A/B)_alpha is Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha, and only where
-they share one is the relative block of (A, B) ranked.  Off either
-support that is the other support's Tor (one degree down for S/A), and
-off both it is 0.  So A = S gives S/B's Betti numbers (S/S = 0 has empty
-support), and B = 0 gives S/0 = S the support {0}.  The shift never
-reaches degree -1: Tor_0(S/A) lives only at 0, and only when A ≠ S; then
-Tor_0(S/B) shares its degree, so 0 is ranked, and its relative block is
-empty.
+Tor_i(A/B)_alpha is Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha; off either
+support that is the other support's Tor (one degree down for S/A), and off
+both it is 0.  Summed over alpha, beta_{i,j}(A/B) is therefore
+beta_{i,j}(S/B) + beta_{i+1,j}(S/A), the graded sums each ideal keeps,
+corrected at the points where the two share a degree: there both
+contributions are taken back and the homology of the relative block of
+(A, B) is added.  So A = S gives S/B's Betti numbers (S/S = 0 has empty
+support), and B = 0 gives S/0 = S the support {0}.  The shift reaches
+degree -1 only through Tor_0(S/A), which lives at 0 when A ≠ S; then
+Tor_0(S/B) shares its degree there, so the point 0 is corrected, and its
+relative block is empty.  No entry can end negative; one that does is an
+internal error.
+
+The relative block is built from the generators of A outside B alone.
+Since B ⊆ A, a generator g of A that lies in B gives only faces of
+K^alpha(B): for F ⊆ T_g (the facet below), g divides x^(alpha - F), which
+is thus in B.  So the block is the union of the simplices on T_g over the
+generators g of A outside B, minus K^alpha(B), and at a point that none of
+them divides it is empty and no facet of B is scanned.  As both generating
+sets are minimal, a generator of A lies in B exactly when it is one of B's
+(a generator of B dividing it lies in A, so a generator of A divides that
+one in turn, and minimality makes all three equal), so a table finds them
+once, by a set difference.
 
 The tree runs on the keys (`monomials._keys`) of the ideal's layout
 `_layout(r, D)`, D the degree of its lcm box (at least 1), and a node is
@@ -106,21 +121,26 @@ in a bounded LRU cache.
 
 A support point is its tree key without the degree field, in its ideal's
 own layout.  `_quotient_betti` keeps, per ideal, its layout, its packed
-generators and the points of the support with their degree and Betti
-numbers, in a bounded memo of 64 ideals keyed by
-the ideal with its ring.  Neighbouring modules share
-ideals (J_n is the denominator of R/I^n and of I^(n-1)/I^n and the
-numerator of I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each
-tree once.  A table meets the two supports in the wider of the two
-layouts.  It repacks the narrower ideal's support only if it is nonempty,
-and its generators for the points where the two share a degree.
+generators, the points of the support, each with its degree, the bitmask of
+its homological degrees and its Betti numbers, the graded Betti numbers of
+S/J and the lcm exponents, in a bounded memo of 64 ideals keyed by the ideal
+with its ring.  Neighbouring modules share ideals (J_n is the denominator
+of R/I^n and of I^(n-1)/I^n and the numerator of I^n/I^(n+1) and of
+I^n = J_n/Q), so a window builds each tree once.  A table walks the smaller
+of the two supports and looks each point up in the larger, moved into the
+larger's layout when the widths differ (a point with an exponent the
+narrower fields cannot hold is in no support of that layout); a shared
+degree is one AND of the two masks.  The relative blocks are built in the
+wider of the two layouts, into which the narrower ideal's generators are
+repacked.
 
 Every pivot lies in the componentwise-lcm box of the generators, so the
 box degree plus r still bounds every degree j with a nonzero Betti number.
 `search_bound` keeps that box value rather than the support's top degree:
 `regpow betti --format json` prints it and the disk cache stores it, and
 it depends only on the generators' lcms, not on which pivots carry
-homology.  `betti_bidegree`, rank-nullity on the full bidegree matrices
+homology; a table reads the lcms from the two ideals' records.
+`betti_bidegree`, rank-nullity on the full bidegree matrices
 of K ⊗ A/B ranked by rational Gaussian elimination, is kept as an
 independent cross-check.
 
@@ -152,6 +172,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .modules import NEG_INF, Subquotient, basis
 from .monomials import MonomialIdeal, _Layout, _keys, _layout
@@ -401,23 +422,33 @@ def _pivots(roots: list, layout: _Layout) -> tuple:
     return pivots, adjacent
 
 
-@lru_cache(maxsize=64)
-def _quotient_betti(ideal: MonomialIdeal) -> tuple:
-    """(layout, packed, support): the multigraded Betti numbers of S/ideal.
+class _Record(NamedTuple):
+    """What `_quotient_betti` keeps of S/J for the tables that compose it."""
 
-    layout is the ideal's `_layout(r, D)`, D the degree of its lcm box (at
-    least 1), and packed holds the generators in it.  support maps each
-    multidegree alpha with Tor(S/ideal)_alpha != 0, packed in that layout,
-    to (|alpha|, ((i, beta_{i,alpha}), ...)).  Both are read off the keys of
+    layout: _Layout  # `_layout(r, D)`, D the degree of the lcm box (at least 1)
+    packed: tuple  # the generators in layout, in key order
+    support: dict  # packed alpha -> (|alpha|, mask of the i, ((i, beta_{i,alpha}), ...))
+    graded: dict  # (i, j) -> beta_{i,j}(S/J), the sum over the support
+    lcm: tuple  # the lcm exponents
+
+
+@lru_cache(maxsize=64)
+def _quotient_betti(ideal: MonomialIdeal) -> _Record:
+    """The multigraded Betti numbers of S/ideal, with what a table needs to compose them.
+
+    support maps each multidegree alpha with Tor(S/ideal)_alpha != 0, packed
+    in layout, to |alpha|, the bitmask of the i with beta_{i,alpha} != 0 and
+    those (i, beta_{i,alpha}).  alpha and |alpha| are read off the keys of
     the ideal's Mayer–Vietoris tree: the key less its degree field, and that
     field.  The pivot counts are the Betti numbers where no two of their
     positions are adjacent; elsewhere the block is ranked, reduced at one
     vertex, as in the module docstring.  The unit ideal has no support and
     gets the narrowest layout, `_layout(r, 0)`, before any packing.
     """
+    lcm = ideal.lcm_exponents()
     if ideal.is_unit():
-        return _layout(ideal.ring.nvars, 0), (), {}
-    layout = _layout(ideal.ring.nvars, max(sum(ideal.lcm_exponents()), 1))
+        return _Record(_layout(ideal.ring.nvars, 0), (), {}, {}, lcm)
+    layout = _layout(ideal.ring.nvars, max(sum(lcm), 1))
     guards, ones, above, exps = layout.guards, layout.ones, layout.above, layout.exps
     roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)
@@ -455,83 +486,85 @@ def _quotient_betti(ideal: MonomialIdeal) -> tuple:
             betti = tuple((i + 1, b) for i, b in _block_betti(faces)) if faces else ()
             if betti:
                 support[p] = (key >> above, betti)
-    return layout, packed, support
+    graded = {}
+    for p, (j, betti) in support.items():
+        mask = 0
+        for i, b in betti:
+            graded[i, j] = graded.get((i, j), 0) + b
+            mask |= 1 << i
+        support[p] = (j, mask, betti)
+    return _Record(layout, packed, support, graded, lcm)
 
 
-def _repack(points, layout: _Layout, wide: _Layout) -> list:
-    """The packed points moved from layout to the wider layout `wide`."""
-    pairs = tuple(zip(layout.shifts, wide.shifts))
+def _repack(points, layout: _Layout, other: _Layout) -> list:
+    """The packed points moved from layout to `other`; -1, no point, for one that `other`'s fields cannot hold."""
+    pairs = tuple(zip(layout.shifts, other.shifts))
     field = layout.field
-    return [sum([((p >> s) & field) << t for s, t in pairs]) for p in points]
+    over = layout.ones * (field & -(1 << other.bits))
+    return [-1 if p & over else sum([((p >> s) & field) << t for s, t in pairs]) for p in points]
 
 
-def _tor_by_multidegree(A: MonomialIdeal, B: MonomialIdeal):
-    """Yield (alpha, |alpha|, ((i, beta_i), ...)) for each multidegree alpha with Tor(A/B)_alpha != 0.
+def _compose(a: _Record, b: _Record) -> dict:
+    """The nonzero {(i, j): beta_{i,j}(A/B)} from the records of S/A and S/B, B ⊆ A.
 
-    alpha is packed in the wider of the two ideals' layouts; the narrower
-    ideal is repacked into it as far as it is needed.  Where the composition
-    splits, a point is yielded twice, once with the pairs of S/B and once with
-    those of S/A one degree down, and the values of one i add.
+    Off the points where Tor(S/A) and Tor(S/B) share a degree the table is
+    graded(S/B) plus graded(S/A) one degree down; at those points both are
+    taken back and the relative block, from A's generators outside B, added.
     """
-    a_layout, a_packed, a_support = _quotient_betti(A)
-    b_layout, b_packed, b_support = _quotient_betti(B)
-    layout = a_layout if a_layout.bits >= b_layout.bits else b_layout
-    if a_layout.bits < layout.bits and a_support:
-        a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
-    elif b_layout.bits < layout.bits and b_support:
-        b_support = dict(zip(_repack(b_support, b_layout, layout), b_support.values()))
-    # Where Tor(S/A)_alpha and Tor(S/B)_alpha share no homological degree,
-    # Tor_i(A/B)_alpha is Tor_i(S/B)_alpha ⊕ Tor_{i+1}(S/A)_alpha (the lemma):
-    # each support yields its own pairs there, S/A's one degree down.  Only
-    # the points where the two share a degree need the relative block.
-    shared = {}
-    for p, (j, betti) in a_support.items():
-        if p in b_support and not {i for i, _ in betti}.isdisjoint([i for i, _ in b_support[p][1]]):
-            shared[p] = j
-        else:
-            yield p, j, tuple([(i - 1, b) for i, b in betti])
-    for p, (j, betti) in b_support.items():
-        if p not in shared:
-            yield p, j, betti
-    if a_layout.bits < layout.bits:
-        a_packed = _repack(a_packed, a_layout, layout)
-    elif b_layout.bits < layout.bits:
-        b_packed = _repack(b_packed, b_layout, layout)
-    # The block at alpha is the relative complex (K^alpha(A), K^alpha(B)): the
-    # faces F with x^(alpha - F) in A and not in B, from the facets.
-    guards, ones = layout.guards, layout.ones
-    for p, j in shared.items():
-        q = p | guards
-        simplices = _simplices((q - ones) & guards)
-        faces = 0
-        for g in a_packed:
-            d = q - g
-            if d & guards == guards:
-                faces |= simplices[(d - ones) & guards]
-        if not faces:
-            continue
-        for g in b_packed:
-            d = q - g
-            if d & guards == guards:
-                faces &= ~simplices[(d - ones) & guards]
-                if not faces:
-                    break
-        else:
-            betti = _block_betti(faces)
-            if betti:
-                yield p, j, betti
+    entries = dict(b.graded)
+    for (i, j), v in a.graded.items():
+        entries[i - 1, j] = entries.get((i - 1, j), 0) + v
+    # walk the smaller support, look its points up in the larger, and rank in the wider layout
+    swap = len(a.support) > len(b.support)
+    small, large = (b, a) if swap else (a, b)
+    if small.support:  # empty only when A = S
+        up = small.layout.bits <= large.layout.bits
+        wide = large.layout if up else small.layout
+        points = list(small.support)
+        keys = points if small.layout.bits == large.layout.bits else _repack(points, small.layout, large.layout)
+        a_packed = a.packed if a.layout.bits == wide.bits else _repack(a.packed, a.layout, wide)
+        b_packed = b.packed if b.layout.bits == wide.bits else _repack(b.packed, b.layout, wide)
+        # B ⊆ A and both generating sets are minimal, so a generator of A lies
+        # in B exactly when it is one of B's
+        in_b = set(b_packed)
+        outside = [g for g in a_packed if g not in in_b]
+        guards, ones, get, down = wide.guards, wide.ones, large.support.get, int(not swap)
+        for p, key, (j, mask, betti) in zip(points, keys, small.support.values()):
+            hit = get(key)
+            if hit is None or not hit[1] & mask:
+                continue
+            for i, v in betti:
+                entries[i - down, j] -= v
+            for i, v in hit[2]:
+                entries[i + down - 1, j] -= v
+            # the relative block (K^alpha(A), K^alpha(B)), the faces F with
+            # x^(alpha - F) in A and not in B, from the facets
+            q = (key if up else p) | guards
+            facets = [(d - ones) & guards for d in [q - g for g in outside] if d & guards == guards]
+            if not facets:
+                continue
+            simplices = _simplices((q - ones) & guards)
+            faces = 0
+            for T in facets:
+                faces |= simplices[T]
+            for g in b_packed:
+                d = q - g
+                if d & guards == guards:
+                    faces &= ~simplices[(d - ones) & guards]
+                    if not faces:
+                        break
+            else:
+                for i, v in _block_betti(faces):
+                    entries[i, j] = entries.get((i, j), 0) + v
+    if min(entries.values(), default=0) < 0:
+        raise RuntimeError(f"negative Betti number in the composed table {entries}")
+    return {key: v for key, v in entries.items() if v}
 
 
 def _compute_betti_table(module: Subquotient) -> BettiTable:
-    A, B = module.numerator, module.denominator
-    union_lcm_degree = sum(map(max, A.lcm_exponents(), B.lcm_exponents()))
-    search_bound = max(union_lcm_degree, 1) + module.ring.nvars
-    entries = {}
-    if not module.is_zero():
-        for _, j, betti in _tor_by_multidegree(A, B):
-            for i, b in betti:
-                entries[(i, j)] = entries.get((i, j), 0) + b
-    return BettiTable(entries, search_bound)
+    a, b = _quotient_betti(module.numerator), _quotient_betti(module.denominator)
+    search_bound = max(sum(map(max, a.lcm, b.lcm)), 1) + module.ring.nvars
+    return BettiTable(_compose(a, b), search_bound)
 
 
 def _canonical_key(module: Subquotient) -> str:

@@ -12,13 +12,15 @@ unless A = S, whose lattice is {0}.  So the oracle visits every point where
 a Betti number can be nonzero.
 
 `pivots` is the engine's former Mayer–Vietoris tree on exponent tuples,
-kept as the oracle of the packed tree.
+kept as the oracle of the packed tree.  `tor_by_multidegree` is the engine's
+former composition of a table point by point, kept as the oracle of the
+composition from graded sums.
 """
 from __future__ import annotations
 
 import itertools
 
-from regpow.betti import _rank_dense
+from regpow.betti import _block_betti, _quotient_betti, _rank_dense, _repack, _simplices
 from regpow.monomials import _divides_any, _layout, _minimal, _pack
 
 
@@ -125,4 +127,62 @@ def betti_entries(a_exps, b_exps) -> dict:
         j = sum(alpha)
         for i, b in block_betti(levels, nv).items():
             entries[(i, j)] = entries.get((i, j), 0) + b
+    return entries
+
+
+def tor_by_multidegree(A, B):
+    """Yield (alpha, |alpha|, ((i, beta_i), ...)) for each multidegree alpha with Tor(A/B)_alpha != 0.
+
+    alpha is packed in the wider of the two ideals' layouts; the narrower
+    ideal is repacked into it as far as it is needed.  Both supports are
+    walked whole.  Where Tor(S/A)_alpha and Tor(S/B)_alpha share no
+    homological degree, a point of both is yielded twice, once with the
+    pairs of S/B and once with those of S/A one degree down, and the values
+    of one i add; where they share one, the relative block of (A, B) is
+    built from every generator of A and of B that divides x^alpha.
+    """
+    a_layout, a_packed, a_support = _quotient_betti(A)[:3]
+    b_layout, b_packed, b_support = _quotient_betti(B)[:3]
+    layout = a_layout if a_layout.bits >= b_layout.bits else b_layout
+    if a_layout.bits < layout.bits and a_support:
+        a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
+    elif b_layout.bits < layout.bits and b_support:
+        b_support = dict(zip(_repack(b_support, b_layout, layout), b_support.values()))
+    shared = {}
+    for p, (j, _, betti) in a_support.items():
+        if p in b_support and not {i for i, _ in betti}.isdisjoint([i for i, _ in b_support[p][2]]):
+            shared[p] = j
+        else:
+            yield p, j, tuple([(i - 1, b) for i, b in betti])
+    for p, (j, _, betti) in b_support.items():
+        if p not in shared:
+            yield p, j, betti
+    if a_layout.bits < layout.bits:
+        a_packed = _repack(a_packed, a_layout, layout)
+    elif b_layout.bits < layout.bits:
+        b_packed = _repack(b_packed, b_layout, layout)
+    guards, ones = layout.guards, layout.ones
+    for p, j in shared.items():
+        q = p | guards
+        simplices = _simplices((q - ones) & guards)
+        faces = 0
+        for g in a_packed:
+            d = q - g
+            if d & guards == guards:
+                faces |= simplices[(d - ones) & guards]
+        for g in b_packed:
+            d = q - g
+            if d & guards == guards:
+                faces &= ~simplices[(d - ones) & guards]
+        betti = _block_betti(faces) if faces else ()
+        if betti:
+            yield p, j, betti
+
+
+def composed_entries(A, B) -> dict:
+    """{(i, j): beta_{i,j}(A/B)}: the pairs of `tor_by_multidegree` summed per bidegree."""
+    entries = {}
+    for _, j, betti in tor_by_multidegree(A, B):
+        for i, b in betti:
+            entries[i, j] = entries.get((i, j), 0) + b
     return entries

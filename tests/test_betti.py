@@ -42,14 +42,15 @@ from regpow.betti import (
     _quotient_betti,
     _rank_dense,
     _rank_int,
+    _repack,
     _Simplices,
-    _tor_by_multidegree,
     deferred_cache_writes,
 )
-from regpow.monomials import _keys
+from regpow.monomials import _keys, _layout, _pack
 
 import _block_oracle
 import _hochster
+from _corpus import corpus
 from conftest import random_ideal, ring
 
 
@@ -255,7 +256,7 @@ def _tree_pivots(ideal) -> list:
     `_pivots` counts by resolution position i = d + 1; its set of keys with
     pivots in two adjacent dimensions is checked here against the counts.
     """
-    layout = _quotient_betti(ideal)[0]
+    layout = _quotient_betti(ideal).layout
     pivots, adjacent = _pivots(_keys(ideal._exps, layout), layout)
     assert adjacent == {key for key, counts in pivots.items() if any(i + 1 in counts for i in counts)}, ideal
     items = []
@@ -267,9 +268,19 @@ def _tree_pivots(ideal) -> list:
 
 
 def _support(ideal) -> dict:
-    """{alpha: (|alpha|, ((i, beta_{i,alpha}), ...))} where Tor(S/ideal) is nonzero, as the per-ideal memo holds it."""
-    layout, _, support = _quotient_betti(ideal)
-    return {layout.unpack(p): entry for p, entry in support.items()}
+    """{alpha: (|alpha|, ((i, beta_{i,alpha}), ...))} where Tor(S/ideal) is nonzero, as the per-ideal memo holds it.
+
+    The memo's mask of each point is checked against its pairs, and its
+    graded Betti numbers and lcm exponents against the support and the ideal.
+    """
+    record = _quotient_betti(ideal)
+    graded = {}
+    for j, mask, betti in record.support.values():
+        assert mask == sum(1 << i for i, _ in betti), ideal
+        for i, b in betti:
+            graded[i, j] = graded.get((i, j), 0) + b
+    assert record.graded == graded and record.lcm == ideal.lcm_exponents(), ideal
+    return {record.layout.unpack(p): (j, betti) for p, (j, _, betti) in record.support.items()}
 
 
 def _oracle_support(ideal) -> dict:
@@ -556,10 +567,10 @@ def test_facet_blocks_match_membership_oracle():
                     break
         if A == B:
             continue
-        layout = max(_quotient_betti(A)[0], _quotient_betti(B)[0], key=lambda layout: layout.bits)
+        layout = max(_quotient_betti(A).layout, _quotient_betti(B).layout, key=lambda layout: layout.bits)
         # a point where the composition splits comes once from each support, so the pairs add
         composed = {}
-        for p, _, betti in _tor_by_multidegree(A, B):
+        for p, _, betti in _block_oracle.tor_by_multidegree(A, B):
             at = composed.setdefault(layout.unpack(p), {})
             for i, b in betti:
                 at[i] = at.get(i, 0) + b
@@ -581,6 +592,74 @@ def test_facet_blocks_match_membership_oracle():
         "only in supp(S/B)", "only in supp(S/A)",
         "both supports, no shared degree", "both supports, shared degree",
     }
+
+
+def test_graded_composition_matches_per_point_oracle():
+    """The table composed from graded sums is the per-point composition's and the membership oracle's.
+
+    Every table of the golden families and the seeded corpus is compared
+    with the sums of `_block_oracle.tor_by_multidegree`, which walks both
+    supports whole and builds each relative block from all generators of A
+    and B, and, where the lcm lattice is small, with
+    `_block_oracle.betti_entries`.  At a point where Tor(S/A) and Tor(S/B)
+    share a degree the composition builds the block from A's generators
+    outside B only; both kinds of such points occur.
+    """
+    modules = []
+    for spec, top in ((FamilySpec("m2_reg"), 6), (FamilySpec("m2_sdeg"), 6), (FamilySpec("ehl", r=3), 6),
+                      (FamilySpec("cycle", t=3), 4), (FamilySpec("cycle", t=4), 4)):
+        presented = build(spec)
+        modules += [presented.module_of(kind, n) for n in range(1, top + 1) for kind in ("power", "quotient", "diff")]
+    for case in corpus():
+        modules += [case.presented.module_of(kind, n)
+                    for n in range(1, case.n_max + 1) for kind in ("power", "quotient", "diff")]
+    r, s = ring("x", "y"), ring("x", "y", "z")
+    modules.append(Subquotient(ideal(r, ["x^2", "x*y"]), ideal(r, ["x^2", "x*y"])))
+    # the smaller support, of A, in the wider layout: x^20 and x^20 y cannot be moved into B's
+    modules.append(Subquotient(ideal(s, ["x^20", "y"]), ideal(s, ["x^3*y", "x^2*y*z", "x*y*z^2", "y*z^3"])))
+    seen = set()
+    for M in modules:
+        A, B = M.numerator, M.denominator
+        a_exps, b_exps = list(A._exps), list(B._exps)
+        entries = _compute_betti_table(M).entries
+        assert entries == _block_oracle.composed_entries(A, B), (A, B)
+        if len(a_exps) + len(b_exps) <= 24 and A.ring.nvars <= 8:
+            assert entries == ({} if A == B else _block_oracle.betti_entries(a_exps, b_exps)), (A, B)
+            seen.add("membership oracle")
+        # the composition walks the smaller support (A's on a tie) and looks it up in the larger
+        small, large = sorted((_quotient_betti(A), _quotient_betti(B)), key=lambda record: len(record.support))
+        seen.update(name for name, case in (
+            ("A unit", A.is_unit()), ("B zero", B.is_zero()), ("A = B", A == B),
+            ("layouts of different width", small.support and small.layout.bits != large.layout.bits),
+            ("smaller support in the wider layout", small.support and small.layout.bits > large.layout.bits),
+        ) if case)
+        if {"shared, no generator outside B divides", "shared, nonempty block"} <= seen:
+            continue
+        outside = set(a_exps) - set(b_exps)
+        supp_a, supp_b = _support(A), _support(B)
+        for alpha in supp_a.keys() & supp_b.keys():
+            if not any(alpha) or {i for i, _ in supp_a[alpha][1]}.isdisjoint([i for i, _ in supp_b[alpha][1]]):
+                continue
+            if not any(all(map(int.__le__, g, alpha)) for g in outside):
+                seen.add("shared, no generator outside B divides")
+                assert not _block_oracle.block_levels(alpha, a_exps, b_exps), (A, B, alpha)
+            elif _block_oracle.block_levels(alpha, a_exps, b_exps):
+                seen.add("shared, nonempty block")
+    assert len(modules) > 700
+    assert seen == {
+        "membership oracle", "A unit", "B zero", "A = B", "layouts of different width",
+        "smaller support in the wider layout", "shared, no generator outside B divides", "shared, nonempty block",
+    }, seen
+
+
+def test_repack_moves_points_between_layouts():
+    """A point moves into a wider or a narrower layout; one the target's fields cannot hold becomes -1."""
+    narrow, wide = _layout(3, 7), _layout(3, 40)
+    for e in ((0, 0, 0), (7, 1, 3), (0, 5, 7)):
+        assert _repack([_pack(e, narrow.shifts)], narrow, wide) == [_pack(e, wide.shifts)]
+        assert _repack([_pack(e, wide.shifts)], wide, narrow) == [_pack(e, narrow.shifts)]
+    # z^16 would spill into y's narrow field, and x^8 would set x's guard bit
+    assert _repack([_pack(e, wide.shifts) for e in ((0, 0, 16), (8, 0, 0), (1, 40, 0))], wide, narrow) == [-1] * 3
 
 
 def test_integer_rank_matches_rational_rank():
