@@ -141,8 +141,9 @@ def tor_by_multidegree(A, B):
     of one i add; where they share one, the relative block of (A, B) is
     built from every generator of A and of B that divides x^alpha.
     """
-    a_layout, a_packed, a_support = _quotient_betti(A)[:3]
-    b_layout, b_packed, b_support = _quotient_betti(B)[:3]
+    a, b = _quotient_betti(A), _quotient_betti(B)
+    a_layout, a_packed, a_support = a.layout, a.packed, a.support
+    b_layout, b_packed, b_support = b.layout, b.packed, b.support
     layout = a_layout if a_layout.bits >= b_layout.bits else b_layout
     if a_layout.bits < layout.bits and a_support:
         a_support = dict(zip(_repack(a_support, a_layout, layout), a_support.values()))
