@@ -43,7 +43,7 @@ def ideal_module(numerator: MonomialIdeal) -> Subquotient:
     return Subquotient(numerator, zero_ideal(numerator.ring))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def standard_monomials(modulus: MonomialIdeal, degree: int) -> tuple:
     """Monomials of the given degree not contained in `modulus`, sorted by exponents.
 
@@ -66,7 +66,7 @@ def standard_monomials(modulus: MonomialIdeal, degree: int) -> tuple:
     return tuple(sorted(out, key=lambda m: m.exponents))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def basis(module: Subquotient, degree: int) -> tuple:
     """Monomials of the given degree lying in the numerator but not the denominator."""
     return tuple(

@@ -320,13 +320,21 @@ def test_tree_support_matches_block_oracle():
         ideals += [presented.module_of("quotient", n).denominator for n in range(1, top + 1)]
     r = ring("x", "y")
     ideals += [zero_ideal(r), unit_ideal(r)]
-    edges = set()
+    edges, seen = set(), set()
     for J in ideals:
         support = _support(J)
         assert all(j == sum(alpha) for alpha, (j, _) in support.items()), J
         assert {alpha: dict(betti) for alpha, (_, betti) in support.items()} == _oracle_support(J), J
         edges.update({7, 8, 15, 16, 63, 64} & set(J.lcm_exponents()))
+        # a ranked point, with pivots in two adjacent dimensions, whose complex
+        # K^alpha(J) may be the whole simplex: then Tor(S/J)_alpha = 0
+        for alpha, counts in _tree_pivots(J):
+            if any(d + 1 in counts for d in counts):
+                whole = any(all(g_k < a_k if a_k else not g_k for g_k, a_k in zip(g, alpha)) for g in J._exps)
+                seen.add("ranked, a facet is all of supp(alpha)" if whole else "ranked, no facet is all of supp(alpha)")
+                assert not (whole and alpha in support), (J, alpha)
     assert edges == {7, 8, 15, 16, 63, 64}
+    assert seen == {"ranked, a facet is all of supp(alpha)", "ranked, no facet is all of supp(alpha)"}
 
 
 def test_tree_pivot_cases():
@@ -615,7 +623,7 @@ def test_graded_composition_matches_per_point_oracle():
                     for n in range(1, case.n_max + 1) for kind in ("power", "quotient", "diff")]
     r, s = ring("x", "y"), ring("x", "y", "z")
     modules.append(Subquotient(ideal(r, ["x^2", "x*y"]), ideal(r, ["x^2", "x*y"])))
-    # the smaller support, of A, in the wider layout: x^20 and x^20 y cannot be moved into B's
+    # the narrower record, of B, holds the larger support: A's points x^20 and x^20 y could not move into it
     modules.append(Subquotient(ideal(s, ["x^20", "y"]), ideal(s, ["x^3*y", "x^2*y*z", "x*y*z^2", "y*z^3"])))
     seen = set()
     for M in modules:
@@ -626,12 +634,14 @@ def test_graded_composition_matches_per_point_oracle():
         if len(a_exps) + len(b_exps) <= 24 and A.ring.nvars <= 8:
             assert entries == ({} if A == B else _block_oracle.betti_entries(a_exps, b_exps)), (A, B)
             seen.add("membership oracle")
-        # the composition walks the smaller support (A's on a tie) and looks it up in the larger
-        small, large = sorted((_quotient_betti(A), _quotient_betti(B)), key=lambda record: len(record.support))
+        # the composition walks the narrower record (the smaller support on a tie) and looks it up in the other
+        walk, other = sorted((_quotient_betti(A), _quotient_betti(B)),
+                             key=lambda record: (record.layout.bits, len(record.support)))
         seen.update(name for name, case in (
             ("A unit", A.is_unit()), ("B zero", B.is_zero()), ("A = B", A == B),
-            ("layouts of different width", small.support and small.layout.bits != large.layout.bits),
-            ("smaller support in the wider layout", small.support and small.layout.bits > large.layout.bits),
+            ("layouts of different width", walk.support and walk.layout.bits != other.layout.bits),
+            ("narrower record holds the larger support",
+             walk.layout.bits < other.layout.bits and len(walk.support) > len(other.support)),
         ) if case)
         if {"shared, no generator outside B divides", "shared, nonempty block"} <= seen:
             continue
@@ -648,18 +658,15 @@ def test_graded_composition_matches_per_point_oracle():
     assert len(modules) > 700
     assert seen == {
         "membership oracle", "A unit", "B zero", "A = B", "layouts of different width",
-        "smaller support in the wider layout", "shared, no generator outside B divides", "shared, nonempty block",
+        "narrower record holds the larger support", "shared, no generator outside B divides", "shared, nonempty block",
     }, seen
 
 
 def test_repack_moves_points_between_layouts():
-    """A point moves into a wider or a narrower layout; one the target's fields cannot hold becomes -1."""
+    """A point moves into a wider layout with its exponents unchanged."""
     narrow, wide = _layout(3, 7), _layout(3, 40)
     for e in ((0, 0, 0), (7, 1, 3), (0, 5, 7)):
         assert _repack([_pack(e, narrow.shifts)], narrow, wide) == [_pack(e, wide.shifts)]
-        assert _repack([_pack(e, wide.shifts)], wide, narrow) == [_pack(e, narrow.shifts)]
-    # z^16 would spill into y's narrow field, and x^8 would set x's guard bit
-    assert _repack([_pack(e, wide.shifts) for e in ((0, 0, 16), (8, 0, 0), (1, 40, 0))], wide, narrow) == [-1] * 3
 
 
 def test_integer_rank_matches_rational_rank():

@@ -1,8 +1,12 @@
 """Subquotient modules: Hilbert functions, Artinian detection, top degree."""
+import importlib
+import pkgutil
 import random
+import re
 
 import pytest
 
+import regpow
 from regpow import (
     NEG_INF,
     Subquotient,
@@ -144,3 +148,24 @@ def test_ideal_module_helper():
     M = ideal_module(ideal(r, ["x"]))
     assert M.denominator.is_zero()
     assert hilbert(M, 1) == 1
+
+
+def test_every_engine_memo_is_bounded():
+    """Every `lru_cache` in the package has a finite maxsize, so a long-running process keeps bounded memory.
+
+    The one exception is `PresentedIdeal._lifted_power`, one entry per power of
+    one presented ideal, which the benchmark harness reads by name.
+    """
+    memos, decorators = {}, 0
+    for info in pkgutil.iter_modules(regpow.__path__):
+        module = importlib.import_module(f"regpow.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            decorators += len(re.findall(r"^\s*@(?:functools\.)?lru_cache\(", fh.read(), re.M))
+        for value in vars(module).values():
+            for fn in (value, *(vars(value).values() if isinstance(value, type) else ())):
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    memos[f"{info.name}.{fn.__qualname__}"] = fn.cache_info().maxsize
+    assert len(memos) == decorators, memos
+    assert {"modules.standard_monomials", "modules.basis", "betti._quotient_betti"} <= memos.keys()
+    unbounded = sorted(name for name, maxsize in memos.items() if maxsize is None)
+    assert unbounded == ["regfun.PresentedIdeal._lifted_power"], unbounded

@@ -17,6 +17,7 @@ from regpow import (
     RingMismatchError,
     StandingHypothesisError,
     Subquotient,
+    betti_table,
     build,
     defect_report,
     ideal,
@@ -30,6 +31,7 @@ from regpow import families, monomials, regfun
 from regpow.betti import _betti_table_memo
 from regpow.monomials import _minimal
 
+from _corpus import corpus
 from _socle_oracle import pivot, socle_top
 from conftest import random_ideal, ring, saturate_by_colon_fixpoint, sdeg_by_colon_fold
 
@@ -366,6 +368,32 @@ def test_sdeg_equals_quotient_regularity_plus_one_in_dimension_zero():
     assert X.dim_quotient_by_ideal() == 0
     for n in range(1, 5):
         assert X.sdeg(n) == X.reg_quotient(n) + 1
+
+
+def test_sdeg_is_read_off_the_top_koszul_degree():
+    """sdeg(n) = 1 + max{j - r : beta_{r,j}(S/J_n) != 0}, r the number of variables, in any dimension.
+
+    Tor_r(k, M) is the socle of M shifted by r, and sdeg is one more than the
+    top degree of the socle of S/J_n, J_n = lift^n + quot; NEG_INF when the
+    row i = r is empty.  This ties the slice search of `_socle_top` to the
+    Mayer–Vietoris tree of the Betti table.
+    """
+    windows = [(case.presented, case.n_max) for case in corpus()]
+    windows += [(build(FamilySpec("m2_reg")), 6), (build(FamilySpec("m2_sdeg")), 5),
+                (build(FamilySpec("ehl", r=3)), 5), (build(FamilySpec("cycle", t=3)), 3),
+                (build(FamilySpec("dim1b", d=2, c=(4, 3, 1))), 5)]
+    seen, values = set(), 0
+    for X, n_max in windows:
+        r = X.ring.nvars
+        for n in range(1, n_max + 1):
+            entries = betti_table(X.module_of("quotient", n)).entries
+            top = max((j - r for i, j in entries if i == r), default=NEG_INF)
+            assert X.sdeg(n) == top + 1, (X, n)
+            seen.add("saturated" if top == NEG_INF else "unsaturated")
+            seen.add("dimension zero" if X.dim_quotient_by_ideal() == 0 else "positive dimension")
+            values += 1
+    assert values == 274, values
+    assert seen == {"saturated", "unsaturated", "dimension zero", "positive dimension"}
 
 
 def test_regularity_triangle_against_ambient_ring():

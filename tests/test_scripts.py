@@ -50,3 +50,17 @@ def test_defect_explorer():
     assert lines[0].startswith("ring ")
     assert len(lines) == 4
     assert lines[1].startswith("  reg_quotient: values=[")
+
+
+def test_code_lines_counts_each_module_and_the_total():
+    lines = run_script("code_lines.py")
+    rows = [line.split(",") for line in lines]
+    modules = sorted(name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "regpow")) if name.endswith(".py"))
+    assert [name for name, _ in rows] == modules + ["total"]
+    assert int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1]) > 0
+    loader = importlib.util.spec_from_file_location("code_lines", os.path.join(SCRIPTS, "code_lines.py"))
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    # the docstrings, the comment and the blank line are not code; both lines of the string are
+    source = '"""Module."""\n\n# a comment\ndef f():\n    """Doc\n    string."""\n    return """a\n    b"""  # trailing\n'
+    assert script.code_lines(source) == 3
