@@ -81,9 +81,8 @@ its keys in increasing order.  lcm(g, m) keeps m's field
 where m_i >= g_i, that is where the guard bit of (m | G) - g survives, and
 takes g's elsewhere.  Its degree is read with one multiplication, as no
 sum of fields exceeds D.  A child keeps each lcm that no lower kept key
-divides, by the same guard-bit test.  As it counts, the tree notes each
-key that becomes a pivot in two adjacent dimensions, so the lemma costs
-one set lookup per key.
+divides, by the same guard-bit test.  The tree only counts; the record
+reads the lemma off each key's counts.
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
@@ -143,8 +142,9 @@ box degree plus r still bounds every degree j with a nonzero Betti number.
 it depends only on the generators' lcms, not on which pivots carry
 homology; a table reads the lcms from the two ideals' records.
 `betti_bidegree`, rank-nullity on the full bidegree matrices
-of K ⊗ A/B ranked by rational Gaussian elimination, is kept as an
-independent cross-check.
+of K ⊗ A/B ranked by the same Bareiss elimination, is kept as an
+independent cross-check; rational Gaussian elimination is the tests'
+reference for that rank.
 
 The disk cache (`REGPOW_CACHE`) is a pure accelerator.  Its file is one
 JSON object mapping a key to {"search_bound", "entries"}; the key is the
@@ -170,7 +170,6 @@ import tempfile
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -227,41 +226,10 @@ def _koszul_rows(module: Subquotient, i: int, j: int) -> list:
     return rows
 
 
-def _rank_dense(rows) -> int:
-    """Exact rank by Gaussian elimination over the rationals; deterministic pivoting."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, nrows):
-            factor = mat[r][col]
-            if factor != 0:
-                factor *= inv
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] -= factor * prow[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def betti_bidegree(module: Subquotient, i: int, j: int) -> int:
     """beta_{i,j} by rank-nullity on full bidegree matrices (cross-check path)."""
     here = _koszul_rows(module, i, j)
-    return len(here) - _rank_dense(here) - _rank_dense(_koszul_rows(module, i + 1, j))
+    return len(here) - _rank_int(here) - _rank_int(_koszul_rows(module, i + 1, j))
 
 
 def _rank_int(rows) -> int:
@@ -377,18 +345,17 @@ def _simplices(support: int) -> _Simplices:
     return _Simplices(support)
 
 
-def _pivots(roots: list, layout: _Layout) -> tuple:
-    """(pivots, adjacent) over the Mayer–Vietoris tree of roots.
+def _pivots(roots: list, layout: _Layout) -> dict:
+    """The pivots of the Mayer–Vietoris tree of roots: key -> {i: count}.
 
-    pivots maps each key to {i: number of pivots at the key in dimension
-    i - 1}, the rank at the key of position i of the tree's mapping-cone
-    resolution of S/J; adjacent holds the keys with pivots in two adjacent
-    dimensions.  roots are the generators' keys (`_keys`), in a layout with
-    room for the degree of their lcm box.
+    The count is the number of pivots at the key in dimension i - 1, the
+    rank at the key of position i of the tree's mapping-cone resolution of
+    S/J.  roots are the generators' keys (`_keys`), in a layout with room
+    for the degree of their lcm box.
     """
     bits, guards, field, exps, up = layout.bits, layout.guards, layout.field, layout.exps, layout.up
     degree = field << layout.above
-    pivots, adjacent = {}, set()
+    pivots = {}
     stack = [(roots, 1)]
     while stack:
         gens, i = stack.pop()
@@ -398,8 +365,6 @@ def _pivots(roots: list, layout: _Layout) -> tuple:
                 pivots[m] = {i: 1}
             else:
                 counts[i] = counts.get(i, 0) + 1
-                if i - 1 in counts or i + 1 in counts:
-                    adjacent.add(m)
             if not j:
                 continue
             # lcm(g, m) keeps m's field where m_i >= g_i (its guard bit survives
@@ -419,7 +384,7 @@ def _pivots(roots: list, layout: _Layout) -> tuple:
                 else:
                     child.append(p)
             stack.append((child, i + 1))
-    return pivots, adjacent
+    return pivots
 
 
 class _Record(NamedTuple):
@@ -453,11 +418,10 @@ def _quotient_betti(ideal: MonomialIdeal) -> _Record:
     roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)
     support, graded = {0: (0, 1, ((0, 1),))}, {(0, 0): 1}
-    pivots, adjacent = _pivots(roots, layout)
-    for key, counts in pivots.items():
+    for key, counts in _pivots(roots, layout).items():
         p, j = key & exps, key >> above
-        if key not in adjacent:  # the lemma: the counts are the Betti numbers
-            betti = tuple(counts.items())
+        if len(counts) == 1 or not any(i + 1 in counts for i in counts):
+            betti = tuple(counts.items())  # the lemma: the counts are the Betti numbers
         else:
             # The facets as in the module docstring; with g = 0 the same gives supp(alpha).
             q = p | guards
@@ -699,7 +663,5 @@ def betti(module: Subquotient, i: int, j: int) -> int:
 
 
 def regularity(module: Subquotient):
-    """Castelnuovo-Mumford regularity, max(j - i) over the Betti table; NEG_INF for the zero module."""
-    if module.is_zero():
-        return NEG_INF
+    """Castelnuovo-Mumford regularity, max(j - i) over the Betti table; NEG_INF for the zero module's empty table."""
     return betti_table(module).regularity()

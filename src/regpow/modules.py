@@ -23,14 +23,14 @@ class Subquotient:
             raise RingMismatchError("numerator and denominator live in different rings")
         if not self.denominator.is_subset_of(self.numerator):
             raise ValueError("denominator ideal is not contained in the numerator ideal")
-        object.__setattr__(self, "_zero", self.numerator.is_subset_of(self.denominator))
 
     @property
     def ring(self):
         return self.numerator.ring
 
     def is_zero(self) -> bool:
-        return self._zero
+        """Whether A ⊆ B, scanned on each call; `regularity` needs no such test, a zero module's table being empty."""
+        return self.numerator.is_subset_of(self.denominator)
 
 
 def quotient_ring(modulus: MonomialIdeal) -> Subquotient:

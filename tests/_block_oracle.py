@@ -3,7 +3,8 @@
 At each point alpha of L(A) ∪ L(B) it tests every squarefree x^F with
 x^F | x^alpha for x^(alpha - F) ∈ A and x^(alpha - F) ∉ B with the packed
 divisibility kernel, builds each block's boundary matrices on sorted tuples of
-variables and ranks them by rational Gaussian elimination (`_rank_dense`).
+variables and ranks them by rational Gaussian elimination (`_rank_dense`, the
+reference of the engine's Bareiss rank).
 The lcm lattice comes from a frontier search.  Tor(S/J) lives on L(J) ∪ {0},
 where the Taylor resolution of S/J lives (Gasharov–Peeva–Welker, "The
 lcm-lattice in monomial resolutions", Math. Res. Lett. 6, 1999), and by the
@@ -19,8 +20,9 @@ composition from graded sums.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from regpow.betti import _block_betti, _quotient_betti, _rank_dense, _repack, _simplices
+from regpow.betti import _block_betti, _quotient_betti, _repack, _simplices
 from regpow.monomials import _divides_any, _layout, _minimal, _pack
 
 
@@ -38,6 +40,37 @@ def lcm_closure_by_frontier(gens) -> set:
                     fresh.append(point)
         frontier = fresh
     return closure
+
+
+def _rank_dense(rows) -> int:
+    """Exact rank by Gaussian elimination over the rationals; deterministic pivoting."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat or not mat[0]:
+        return 0
+    nrows, ncols = len(mat), len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, nrows):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, nrows):
+            factor = mat[r][col]
+            if factor != 0:
+                factor *= inv
+                row = mat[r]
+                for c in range(col, ncols):
+                    row[c] -= factor * prow[c]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def _by_degree(e) -> tuple:

@@ -40,7 +40,6 @@ from regpow.betti import (
     _levels,
     _pivots,
     _quotient_betti,
-    _rank_dense,
     _rank_int,
     _repack,
     _Simplices,
@@ -50,6 +49,7 @@ from regpow.monomials import _keys, _layout, _pack
 
 import _block_oracle
 import _hochster
+from _block_oracle import _rank_dense
 from _corpus import corpus
 from conftest import random_ideal, ring
 
@@ -69,11 +69,12 @@ def test_square_of_maximal_ideal():
 
 
 def test_zero_module_has_empty_table():
+    """A = B gives an empty table, and `regularity` reads NEG_INF off it with no test of its own."""
     r = ring("x", "y")
-    A = ideal(r, ["x"])
-    M = Subquotient(A, A)
-    assert betti_table(M).entries == {}
-    assert regularity(M) == top_degree(M) == NEG_INF
+    for A in (unit_ideal(r), zero_ideal(r), ideal(r, ["x"]), random_ideal(random.Random(29), r)):
+        M = Subquotient(A, A)
+        assert _compute_betti_table(M).entries == betti_table(M).entries == {}, A
+        assert regularity(M) == top_degree(M) == NEG_INF, A
 
 
 def test_regularity_of_complete_intersection():
@@ -253,14 +254,11 @@ def _tree_pivots(ideal) -> list:
     """The packed tree's (alpha, {d: count}) items of the ideal, in tree order, decoded to tuples.
 
     The roots are the generators' keys in the layout `_quotient_betti` picks.
-    `_pivots` counts by resolution position i = d + 1; its set of keys with
-    pivots in two adjacent dimensions is checked here against the counts.
+    `_pivots` counts by resolution position i = d + 1.
     """
     layout = _quotient_betti(ideal).layout
-    pivots, adjacent = _pivots(_keys(ideal._exps, layout), layout)
-    assert adjacent == {key for key, counts in pivots.items() if any(i + 1 in counts for i in counts)}, ideal
     items = []
-    for key, counts in pivots.items():
+    for key, counts in _pivots(_keys(ideal._exps, layout), layout).items():
         alpha = layout.unpack(key)
         assert key >> layout.above == sum(alpha), (ideal, alpha)
         items.append((alpha, {i - 1: c for i, c in counts.items()}))
@@ -392,6 +390,64 @@ def test_tree_pivot_cases():
                 seen.add("dimensions apart" if len(counts) > 1 else
                          "single pivot" if set(counts.values()) == {1} else "repeated in one dimension")
     assert seen == {"single pivot", "repeated in one dimension", "adjacent dimensions", "ranks to zero"}, seen
+
+
+def _rank_mod2(rows) -> int:
+    """Rank over GF(2): each row is the bitmask of its odd entries, eliminated by XOR."""
+    leading = {}
+    for row in rows:
+        x = sum(1 << c for c, v in enumerate(row) if v % 2)
+        while x and x.bit_length() in leading:
+            x ^= leading[x.bit_length()]
+        if x:
+            leading[x.bit_length()] = x
+    return len(leading)
+
+
+def test_rp2_block_has_two_torsion(monkeypatch):
+    """The six-vertex RP² has 2-torsion, so its Betti table over ℚ needs an exact rank, not one mod 2.
+
+    J is its Stanley–Reisner ideal, the ten cubics of its minimal nonfaces.
+    At alpha = (1, ..., 1) the tree has one pivot in each of positions 3
+    and 4, so the block is ranked; shrunk at x6 it has five faces of sizes
+    2 and 3, and its boundary between them has rank 5 over ℚ but 4 over
+    GF(2), where beta_{3,6} = beta_{4,6} = 1 would appear.
+    """
+    r = ring(*(f"x{k}" for k in range(1, 7)))
+    J = ideal(r, ["x1*x2*x3", "x1*x2*x5", "x1*x3*x4", "x1*x4*x6", "x1*x5*x6",
+                  "x2*x3*x6", "x2*x4*x5", "x2*x4*x6", "x3*x4*x5", "x3*x5*x6"])
+    entries = betti_table(quotient_ring(J)).entries
+    assert entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    assert entries == _graded(_hochster.betti_numbers([(0,) * 6], J._exps))
+    record = _quotient_betti(J)
+    alpha = (1,) * 6
+    pivots = _pivots(_keys(J._exps, record.layout), record.layout)
+    assert [counts for key, counts in pivots.items() if record.layout.unpack(key) == alpha] == [{3: 1, 4: 1}]
+    assert alpha not in {record.layout.unpack(p) for p in record.support}
+    # the block as the module docstring shrinks it: the facets are the
+    # complements of the nonfaces, v is vertex 5 (x6)
+    v = 1 << 5
+    kept = dropped = 0
+    for g in J._exps:
+        T = sum(1 << k for k in range(6) if not g[k])
+        if T & v:
+            dropped |= _simplex(T ^ v)
+        else:
+            kept |= _simplex(T)
+    faces = kept & ~dropped
+    ranked = []
+
+    def recording(faces):
+        ranked.append(faces)
+        return _block_betti(faces)
+
+    monkeypatch.setattr(importlib.import_module("regpow.betti"), "_block_betti", recording)
+    _quotient_betti.__wrapped__(J)
+    assert faces in ranked and _block_betti(faces) == ()
+    levels = _levels(faces)
+    assert {i: len(level) for i, level in levels.items()} == {2: 5, 3: 5}
+    rows = _boundary(levels, 3)
+    assert _rank_int(rows) == 5 and _rank_mod2(rows) == 4
 
 
 def test_packed_tree_matches_tuple_tree():
