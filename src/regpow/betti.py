@@ -76,13 +76,15 @@ one in turn, and minimality makes all three equal), so a table finds them
 once, by a set difference.
 
 The tree runs on the keys (`monomials._keys`) of the ideal's layout
-`_layout(r, D)`, D the degree of its lcm box (at least 1), and a node is
-its keys in increasing order.  lcm(g, m) keeps m's field
-where m_i >= g_i, that is where the guard bit of (m | G) - g survives, and
-takes g's elsewhere.  Its degree is read with one multiplication, as no
-sum of fields exceeds D.  A child keeps each lcm that no lower kept key
-divides, by the same guard-bit test.  The tree only counts; the record
-reads the lemma off each key's counts.
+`_layout(r, max(D, 31))`, D the degree of its lcm box: fields carry at
+least 5 value bits, so ideals whose boxes have degree below 32 share one
+layout and compose without repacking.  A node is its keys in increasing
+order.  lcm(g, m) keeps m's field where m_i >= g_i, that is where the
+guard bit of (m | G) - g survives, and takes g's elsewhere.  Its degree
+is read with one multiplication, as no sum of fields exceeds D.  A child
+keeps each lcm that no lower kept key divides, by the same guard-bit
+test.  The tree only counts; the record reads the lemma off each key's
+counts.
 
 The block of S/J at alpha ≠ 0 is shrunk before it is ranked.  Δ_alpha is
 a cone, so with K = K^alpha(J), Tor_i(S/J)_alpha = H_i(Δ_alpha, K) is
@@ -121,19 +123,20 @@ in a bounded LRU cache.
 
 A support point is its tree key without the degree field, in its ideal's
 own layout.  `_quotient_betti` keeps, per ideal, its layout, its packed
-generators, the points of the support, each with its degree, the bitmask of
-its homological degrees and its Betti numbers, the graded Betti numbers of
-S/J and the lcm exponents, in a bounded memo of 64 ideals keyed by the ideal
-with its ring.  Neighbouring modules share ideals (J_n is the denominator
-of R/I^n and of I^(n-1)/I^n and the numerator of I^n/I^(n+1) and of
-I^n = J_n/Q), so a window builds each tree once.  A table walks the
-support of the record with the narrower layout, on a tie the smaller one,
-and looks each point up in the other's; the walked support is the smaller
-in all but 0.17% of the benchmark corpus's tables.  Where the widths
-differ, its points and its ideal's generators are moved into the other
-layout, so points only ever widen, which loses none: a wider layout holds
-every point of a narrower one.  A shared degree is one AND of the two
-masks, and the relative blocks are built in the wider layout.
+generators, the points of the support, each with its degree, the bitmask
+of its homological degrees and its Betti numbers, the graded Betti
+numbers of S/J and the lcm exponents, in a bounded memo of 64 ideals
+keyed by the ideal with its ring.  Neighbouring modules share ideals
+(J_n is the denominator of R/I^n and of I^(n-1)/I^n and the numerator of
+I^n/I^(n+1) and of I^n = J_n/Q), so a window builds each tree once.  A
+table walks the support of the record with the narrower layout, on a tie
+the smaller one, and looks each point up in the other's; in the
+benchmark corpus every ideal of a ring shares one layout, so the walked
+support is always the smaller.  Where the widths differ, its points and
+its ideal's generators are moved into the other layout, so points only
+ever widen, which loses none: a wider layout holds every point of a
+narrower one.  A shared degree is one AND of the two masks, and the
+relative blocks are built in the wider layout.
 
 Every pivot lies in the componentwise-lcm box of the generators, so the
 box degree plus r still bounds every degree j with a nonzero Betti number.
@@ -387,10 +390,18 @@ def _pivots(roots: list, layout: _Layout) -> dict:
     return pivots
 
 
+# Fields carry at least 5 value bits, so every ideal whose lcm box has degree
+# below 32 gets one layout per ring size and the tables composed from such
+# ideals (neighbouring powers, the presented ideal's quot) never repack.  With
+# up to 4 variables a key, its degree field included, still fits one 30-bit
+# CPython digit.
+_LAYOUT_FLOOR = 31
+
+
 class _Record(NamedTuple):
     """What `_quotient_betti` keeps of S/J for the tables that compose it."""
 
-    layout: _Layout  # `_layout(r, D)`, D the degree of the lcm box (at least 1)
+    layout: _Layout  # `_layout(r, max(D, _LAYOUT_FLOOR))`, D the degree of the lcm box
     packed: tuple  # the generators in layout, in key order
     support: dict  # packed alpha -> (|alpha|, mask of the i, ((i, beta_{i,alpha}), ...))
     graded: dict  # (i, j) -> beta_{i,j}(S/J), the sum over the support
@@ -413,7 +424,7 @@ def _quotient_betti(ideal: MonomialIdeal) -> _Record:
     lcm = ideal.lcm_exponents()
     if ideal.is_unit():
         return _Record(_layout(ideal.ring.nvars, 0), (), {}, {}, lcm)
-    layout = _layout(ideal.ring.nvars, max(sum(lcm), 1))
+    layout = _layout(ideal.ring.nvars, max(sum(lcm), _LAYOUT_FLOOR))
     guards, ones, above, exps = layout.guards, layout.ones, layout.above, layout.exps
     roots = _keys(ideal._exps, layout)
     packed = tuple(g & exps for g in roots)

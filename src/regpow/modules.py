@@ -23,6 +23,10 @@ class Subquotient:
             raise RingMismatchError("numerator and denominator live in different rings")
         if not self.denominator.is_subset_of(self.numerator):
             raise ValueError("denominator ideal is not contained in the numerator ideal")
+        object.__setattr__(self, "_hash", hash((self.numerator, self.denominator)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ring(self):

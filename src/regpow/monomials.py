@@ -15,13 +15,14 @@ Every derived quantity of a value is computed once, because the same
 small values are hashed and queried again and again (memo keys, subset
 tests, membership):
 
-* `RingSpec` stores `nvars` and, on first use, its maximal ideal and its
-  unit ideal;
+* `RingSpec` stores `nvars` and its hash when it is built and, on first
+  use, its maximal ideal and its unit ideal;
 * `MonomialIdeal` stores its hash when it is built, the packed generators
   (`_packed`) on the first membership test and the `Monomial`s (`gens`)
-  on their first read.  The hash is that of `_exps`: equal ideals have
-  equal tuples, so it agrees with `==`, and since it hashes no variable
-  names it is the same under every PYTHONHASHSEED and survives pickling.
+  on their first read.  The hash is that of `_exps` and the ring's hash,
+  so equal generators in different rings rarely share a memo slot.  The
+  ring's hash is that of an int, its variable names read as bytes, so
+  every hash is the same under every PYTHONHASHSEED and survives pickling.
 
 The lazy ones go into the instance `__dict__` through `object.__setattr__`
 (`_once` below), not `functools.cached_property`, which on Python < 3.12
@@ -140,12 +141,15 @@ def _minimal(exps) -> list:
     unique = sorted(set(exps), key=sum)
     if len(unique) < 2 or not any(unique[0]):
         return unique[:1]
+    # A proper divisor has strictly lower degree, so a candidate is tested only
+    # against the kept generators of lower degree; a level joins them once it
+    # is done.  So an input of one degree is already minimal, and is not packed.
+    if sum(unique[0]) == sum(unique[-1]):
+        unique.sort()
+        return unique
     layout = _layout(len(unique[0]), max(map(max, unique)))
     shifts, guards = layout.shifts, layout.guards
     kept, out = [], []
-    # A proper divisor has strictly lower degree, so a candidate is tested only
-    # against the kept generators of lower degree; a level joins them once it
-    # is done.  An equigenerated input never runs the test.
     for _, level in itertools.groupby(unique, key=sum):
         fresh = []
         for e in level:
@@ -390,6 +394,11 @@ class RingSpec:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "nvars", len(self.variables))
+        # names hold no whitespace, so the join is injective; an int's hash ignores PYTHONHASHSEED
+        object.__setattr__(self, "_hash", hash(int.from_bytes(" ".join(self.variables).encode(), "big")))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.nvars)
@@ -526,7 +535,7 @@ class MonomialIdeal:
             if not (isinstance(e, tuple) and len(e) == nvars and all(isinstance(a, int) and a >= 0 for a in e)):
                 raise ValueError(f"generator {e!r} is not a tuple of {nvars} non-negative integers")
         object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_hash", hash(exps))
+        object.__setattr__(self, "_hash", hash((exps, self.ring._hash)))
 
     def __hash__(self) -> int:
         return self._hash

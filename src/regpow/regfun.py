@@ -54,6 +54,10 @@ class PresentedIdeal:
         if total.is_unit():
             raise StandingHypothesisError("the presented ideal is the unit ideal")
         object.__setattr__(self, "total", total)  # lift + quot
+        object.__setattr__(self, "_hash", hash((self.quot, self.lift)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ring(self):
@@ -85,16 +89,21 @@ class PresentedIdeal:
     def _lifted_power(self, n: int) -> MonomialIdeal:
         """lift^n + quot, the presentation of I^n, one product per power.
 
-        For n >= 2 it is (lift^(n-1) + quot) * lift + quot, because with
-        L = lift and Q = quot, (L^(n-1) + Q) L + Q = L^n + QL + Q = L^n + Q
-        (QL lies in Q).  The products and quot are minimalized together, once.
+        J_1 is `total`.  For n >= 2 it is (lift^(n-1) + quot) * lift + quot,
+        because with L = lift and Q = quot, (L^(n-1) + Q) L + Q = L^n + QL + Q
+        = L^n + Q (QL lies in Q).  So a generator of J_(n-1) that is one of
+        quot's is not multiplied: its products lie in quot.  The products and
+        quot are minimalized together, once.
         """
         if n < 2:
-            return self.lift.power(n) + self.quot
+            return self.total if n == 1 else self.lift.power(n) + self.quot
         for k in range(2, n - 1):
             self._lifted_power(k)  # fill the memo upward, so the call below recurses one level
-        products = _products(self._lifted_power(n - 1)._exps, self.lift._exps)
-        return MonomialIdeal(self.ring, _minimal(products + list(self.quot._exps)))
+        prev, quot = self._lifted_power(n - 1)._exps, self.quot._exps
+        if quot:
+            in_quot = set(quot)
+            prev = [e for e in prev if e not in in_quot]
+        return MonomialIdeal(self.ring, _minimal(_products(prev, self.lift._exps) + list(quot)))
 
     def _power(self, n: int) -> MonomialIdeal:
         """lift^n + quot, after checking that n >= 1 and that I^n != 0 in R."""

@@ -679,8 +679,9 @@ def test_graded_composition_matches_per_point_oracle():
                     for n in range(1, case.n_max + 1) for kind in ("power", "quotient", "diff")]
     r, s = ring("x", "y"), ring("x", "y", "z")
     modules.append(Subquotient(ideal(r, ["x^2", "x*y"]), ideal(r, ["x^2", "x*y"])))
-    # the narrower record, of B, holds the larger support: A's points x^20 and x^20 y could not move into it
-    modules.append(Subquotient(ideal(s, ["x^20", "y"]), ideal(s, ["x^3*y", "x^2*y*z", "x*y*z^2", "y*z^3"])))
+    # the narrower record, of B, holds the larger support: A's points x^40 and x^40 y could not move into it
+    # (the lcm box of x^20, y has degree below 32, so its record would share B's layout)
+    modules.append(Subquotient(ideal(s, ["x^40", "y"]), ideal(s, ["x^3*y", "x^2*y*z", "x*y*z^2", "y*z^3"])))
     seen = set()
     for M in modules:
         A, B = M.numerator, M.denominator

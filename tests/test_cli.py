@@ -300,7 +300,8 @@ def test_output_and_hashes_do_not_depend_on_the_hash_seed(tmp_path):
     runs = [
         ["-m", "regpow.cli", "compute", "--input", spec, "--fn", "sdeg", "--to", "4", "--format", "json"],
         ["-m", "regpow.cli", "betti", "--input", spec, "--module", "diff", "--power", "2", "--format", "json"],
-        ["-c", "from regpow import FamilySpec, build; print(hash(build(FamilySpec('m2_reg')).total))"],
+        ["-c", "from regpow import FamilySpec, build; X = build(FamilySpec('m2_reg')); "
+               "print(hash(X.total), hash(X.ring), hash(X.module_of('diff', 2)), hash(X))"],
     ]
     outputs = {}
     for seed in ("0", "1"):

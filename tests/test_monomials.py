@@ -18,6 +18,7 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
+from regpow.regfun import PresentedIdeal
 from regpow.monomials import NEG_INF, _colon, _keys, _layout, _minimal, _pack, _socle_top, _split
 
 from conftest import (
@@ -161,6 +162,41 @@ def test_minimal_drops_candidates_divided_by_lower_degree_levels():
     got = minimalize(r, raw)
     assert got == minimalize_by_objects(r, raw)
     assert [str(g) for g in got.gens] == ["z^3", "y^2", "x"]
+
+
+def test_minimal_of_one_degree_inputs():
+    """_minimal returns an input of one degree sorted and deduplicated, and still minimalizes a mixed one.
+
+    The seeded inputs are tuples of one degree with repeats, alone and with
+    multiples of some of them added one degree or more higher, so that the
+    two lowest candidates share a degree while a later one is divisible.
+    """
+    rnd = random.Random(41)
+    seen = {"one degree": 0, "repeats": 0, "dropped multiple": 0}
+    for case in range(300):
+        r = RingSpec(tuple(f"x{i}" for i in range(1 + case % 5)))
+        degree = rnd.randint(1, 6)
+        level = []
+        for _ in range(rnd.randint(2, 8)):
+            e = [0] * r.nvars
+            for _ in range(degree):
+                e[rnd.randrange(r.nvars)] += 1
+            level.append(tuple(e))
+        level += rnd.sample(level, rnd.randint(0, len(level)))  # repeats
+        raw = list(level)
+        if case % 2:
+            for g in rnd.sample(level, rnd.randint(1, len(level))):
+                raw.append(tuple(a + rnd.randint(0, 2) + (i == 0) for i, a in enumerate(g)))
+        rnd.shuffle(raw)
+        got = _minimal(raw)
+        assert got == list(minimalize_by_objects(r, [Monomial(r, e) for e in raw])._exps), raw
+        if case % 2:
+            seen["dropped multiple"] += len(set(level)) > 1 and len(got) < len(set(raw))
+        else:
+            assert got == sorted(set(level))
+            seen["one degree"] += 1
+            seen["repeats"] += len(set(level)) < len(level)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_layout_invariants():
@@ -390,6 +426,15 @@ def test_equal_ideals_hash_equal_and_share_a_dict_key():
         other = RingSpec(tuple(f"y{i}" for i in range(r.nvars)))
         moved = MonomialIdeal(other, builds[0]._exps)
         assert moved != builds[0] and moved not in memo
+        assert hash(moved) != hash(builds[0])
+        # so are modules and presented ideals built separately from equal ideals
+        for first, second in (
+            (Subquotient(builds[0], builds[0] * J), Subquotient(builds[3], builds[3] * J)),
+            (PresentedIdeal(builds[0] * J, builds[0]), PresentedIdeal(builds[3] * J, builds[3])),
+        ):
+            assert first is not second and first == second and hash(first) == hash(second)
+            thawed = pickle.loads(pickle.dumps(second))
+            assert thawed == first and hash(thawed) == hash(first)
 
 
 def test_krull_dim_examples():

@@ -83,10 +83,14 @@ def test_module_of_kinds():
 
 
 def test_incremental_power_matches_direct_power():
-    """_lifted_power(n), built as (lift^(n-1) + quot) * lift + quot, equals lift^n + quot."""
-    PresentedIdeal._lifted_power.cache_clear()
+    """_lifted_power(n), built as (lift^(n-1) + quot) * lift + quot, equals lift^n + quot; J_1 is total."""
     rnd = random.Random(29)
-    seen = {"zero quot": 0, "quot absorbs a lift generator": 0, "needs + quot": 0}
+    seen = {
+        "zero quot": 0,
+        "quot absorbs a lift generator": 0,
+        "needs + quot": 0,
+        "a generator of J_(n-1) is one of quot's": 0,
+    }
     cases = 0
     while cases < 120:
         r = RingSpec(tuple(f"x{i}" for i in range(rnd.randint(1, 4))))
@@ -103,14 +107,20 @@ def test_incremental_power_matches_direct_power():
         except StandingHypothesisError:
             continue
         cases += 1
+        PresentedIdeal._lifted_power.cache_clear()  # an equal earlier case would share the memo
         seen["zero quot"] += quot.is_zero()
         seen["quot absorbs a lift generator"] += any(quot.contains(g) for g in lift.gens)
         order = range(5, 0, -1) if cases % 2 else range(1, 6)  # cold from the top, or upward
         for n in order:
             assert X._lifted_power(n) == lift.power(n) + quot, (X, n)
+        assert X._lifted_power(1) is X.total
         # Without the final + quot the recursion would give lift^n + quot * lift.
         seen["needs + quot"] += any(
             X._lifted_power(n - 1) * lift != X._lifted_power(n) for n in range(2, 6)
+        )
+        # such a generator is not multiplied by lift, its products lying in quot
+        seen["a generator of J_(n-1) is one of quot's"] += any(
+            set(X._lifted_power(n - 1)._exps) & set(quot._exps) for n in range(2, 6)
         )
     assert min(seen.values()) >= 20, seen
 
