@@ -18,8 +18,8 @@ from regpow import (
     zero_ideal,
 )
 from regpow.modules import Subquotient
-from regpow.regfun import PresentedIdeal
 from regpow.monomials import NEG_INF, _colon, _keys, _layout, _minimal, _pack, _socle_top, _split
+from regpow.regfun import PresentedIdeal
 
 from conftest import (
     all_monomials,
